@@ -41,9 +41,9 @@ pub const EVAL_SEED: u64 = 42;
 /// Announces the measured-phase schedule in effect when the
 /// `FOCUS_EXEC_MODE` override is set — every pipeline built through
 /// [`FocusPipeline::paper`]/`with_config` honours it, so any figure
-/// reproduces under `serial`, `pipelined` or `graph[:N]` without code
-/// edits (results are bit-identical; only throughput differs). Silent
-/// when unset: the default schedule needs no banner.
+/// reproduces under `serial` or `graph[:N]` without code edits
+/// (results are bit-identical; only throughput differs). Silent when
+/// unset: the default schedule (`graph`, depth 2) needs no banner.
 pub fn announce_exec_mode() {
     if let Some(mode) = focus_core::exec::ExecMode::from_env() {
         println!("[exec] measured-phase schedule override: {mode:?}\n");

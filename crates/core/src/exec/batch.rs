@@ -8,7 +8,8 @@
 //! and results are collected in submission order (see
 //! `tests/batch_determinism.rs`).
 //!
-//! Under [`ExecMode::Graph`] a batch is not fanned out as whole runs:
+//! Under [`ExecMode::Graph`] (the default) a batch is not fanned out
+//! as whole runs:
 //! every job is submitted into the process-wide
 //! [`FocusService`] — the same persistent pool that serves streaming
 //! requests — so a batch is just a burst of admissions whose stages
@@ -130,7 +131,7 @@ impl BatchRunner {
     /// synthesis) and the batch shares workers with any concurrent
     /// submitter.
     pub fn run_many(&self, workloads: &[Workload]) -> Vec<PipelineResult> {
-        if let ExecMode::Graph { .. } = self.pipeline.exec_mode {
+        if self.pipeline.exec_mode != ExecMode::Serial {
             return through_service(
                 self.jobs_for(workloads).into_iter().map(|j| (j, None)),
                 self.priority,
@@ -172,7 +173,7 @@ impl BatchRunner {
     /// engine.
     pub fn run_many_sim(&self, workloads: &[Workload]) -> Vec<(PipelineResult, SimReport)> {
         let engine = Arc::new(Engine::new(self.arch.clone()));
-        if let ExecMode::Graph { .. } = self.pipeline.exec_mode {
+        if self.pipeline.exec_mode != ExecMode::Serial {
             return through_service(
                 self.jobs_for(workloads)
                     .into_iter()
@@ -234,14 +235,15 @@ impl BatchRunner {
     }
 }
 
-/// Whether **every** job of a non-empty batch runs under
-/// [`ExecMode::Graph`] — the condition for streaming the batch through
-/// the shared service (each submission carries its own depth).
+/// Whether **every** job of a non-empty batch runs as a task graph
+/// (any schedule but [`ExecMode::Serial`]) — the condition for
+/// streaming the batch through the shared service (each submission
+/// carries its own depth).
 fn all_graph(jobs: &[BatchJob]) -> bool {
     !jobs.is_empty()
         && jobs
             .iter()
-            .all(|job| matches!(job.pipeline.exec_mode, ExecMode::Graph { .. }))
+            .all(|job| job.pipeline.exec_mode != ExecMode::Serial)
 }
 
 /// Deterministic parallel map over a slice: `f` applied to every item,

@@ -1,6 +1,6 @@
-//! [`LayerExecutor`]: drives the semantic stage and the four
-//! similarity-gather stages through one streaming loop per layer,
-//! optionally pipelining across layers the way the hardware does.
+//! [`LayerExecutor`]: the node inventory of one workload's stage graph
+//! (semantic stage, four similarity-gather stages, workspace ring,
+//! measurement plan), plus the [`ExecMode::Serial`] oracle's layer loop.
 
 use std::sync::{Arc, Mutex};
 
@@ -19,46 +19,53 @@ use crate::session::{RetentionPlan, SessionGeometry};
 use crate::sic::{ConvLayouter, Fhw, MatrixGatherStats};
 
 /// Environment variable overriding the measured-phase schedule
-/// (`serial`, `pipelined`, `graph` or `graph:N`) for every pipeline
-/// built through [`FocusPipeline::paper`]/`with_config` — so any
-/// figure binary can be reproduced under any schedule without code
-/// edits. Results are bit-identical across schedules; only throughput
-/// differs.
+/// (`serial`, `graph` or `graph:N`) for every pipeline built through
+/// [`FocusPipeline::paper`]/`with_config` — so any figure binary can be
+/// reproduced under any schedule without code edits. Results are
+/// bit-identical across schedules; only throughput differs.
 pub const EXEC_MODE_ENV: &str = "FOCUS_EXEC_MODE";
 
 /// How the executor schedules the stage graph.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+// The hidden variant is a kept-alive alias that downstream exhaustive
+// matches still name, not a non-exhaustiveness marker.
+#[allow(clippy::manual_non_exhaustive)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// The pre-workspace reference schedule, faithful to the code this
-    /// executor replaced: the four gathers of a layer run concurrently
-    /// (as they always have) but each call builds a fresh synthesiser,
-    /// a fresh activation allocation and per-tile hash maps, and every
+    /// The independent oracle schedule: the four gathers of a layer
+    /// run concurrently, but each call builds a fresh synthesiser, a
+    /// fresh activation allocation and per-tile hash maps, and every
     /// layer is a barrier — no cross-layer overlap. Kept as the
-    /// bit-exactness baseline and as the honest pre-PR side of the
-    /// old-vs-new throughput bench.
+    /// bit-exactness baseline every other schedule is checked against.
     Serial,
-    /// The hand-rolled streaming schedule: the four gather stages of a
-    /// layer run concurrently over recycled workspaces, and the
-    /// semantic stage of layer *l+1* (which only needs the post-prune
-    /// retained set) overlaps the gathers of layer *l* — a fixed
-    /// two-slot software pipeline mirroring one hardware overlap.
-    #[default]
-    Pipelined,
-    /// The general task-graph schedule: every layer decomposes into
-    /// `Sec`, per-stage `Synth` and `Gather`, `Fold` and `Lower` task
-    /// nodes with explicit data dependencies, driven by the
-    /// work-stealing [`crate::exec::TaskScheduler`]. `depth` is the
-    /// number of layers whose synthesis/gather work may be in flight
-    /// at once (each in-flight layer holds one workspace per gather
-    /// stage); the SEC chain and the fold/lowering tail stream ahead
-    /// and behind without further barriers, and
-    /// [`crate::exec::BatchRunner`] feeds many workloads' graphs into
-    /// one scheduler so stages of different requests interleave.
+    /// The task-graph schedule (the default): every layer decomposes
+    /// into `Sec`, per-stage `Synth` and `Gather`, `FoldStats`,
+    /// `Absorb` and `Lower` task nodes with explicit data
+    /// dependencies, run on the persistent [`crate::exec::FocusService`]
+    /// worker pool. `depth` is the number of layers whose
+    /// synthesis/gather work may be in flight at once (each in-flight
+    /// layer holds one workspace per gather stage); the SEC chain and
+    /// the fold/lowering tail stream ahead and behind without further
+    /// barriers, and [`crate::exec::BatchRunner`] feeds many workloads'
+    /// graphs into the same pool so stages of different requests
+    /// interleave.
     Graph {
         /// Cross-layer synthesis window (≥ 1); 2 matches the hardware's
         /// double-buffered activation stream.
         depth: usize,
     },
+    /// Source-compatibility alias for the retired two-slot pipelined
+    /// schedule: runs exactly as `Graph { depth: DEFAULT_GRAPH_DEPTH }`.
+    /// [`ExecMode::parse`] rejects the name.
+    #[doc(hidden)]
+    Pipelined,
+}
+
+impl Default for ExecMode {
+    fn default() -> Self {
+        ExecMode::Graph {
+            depth: ExecMode::DEFAULT_GRAPH_DEPTH,
+        }
+    }
 }
 
 impl ExecMode {
@@ -68,20 +75,17 @@ impl ExecMode {
 
     /// The schedule forms [`ExecMode::parse`] accepts, for error
     /// messages.
-    pub const VALID_FORMS: &'static str = "`serial`, `pipelined`, `graph` or `graph:N` (N >= 1)";
+    pub const VALID_FORMS: &'static str = "`serial`, `graph` or `graph:N` (N >= 1)";
 
-    /// Parses a schedule name: `serial`, `pipelined`, `graph` or
-    /// `graph:N` (N ≥ 1). Malformed input — a zero or non-numeric
-    /// depth, trailing junk, an unknown name — is an error naming the
-    /// valid forms, never a silent fallback.
+    /// Parses a schedule name: `serial`, `graph` or `graph:N` (N ≥ 1).
+    /// Malformed input — a zero or non-numeric depth, trailing junk, an
+    /// unknown or retired name — is an error naming the valid forms,
+    /// never a silent fallback.
     pub fn parse(s: &str) -> Result<ExecMode, String> {
         let trimmed = s.trim();
         match trimmed {
             "serial" => Ok(ExecMode::Serial),
-            "pipelined" => Ok(ExecMode::Pipelined),
-            "graph" => Ok(ExecMode::Graph {
-                depth: ExecMode::DEFAULT_GRAPH_DEPTH,
-            }),
+            "graph" => Ok(ExecMode::default()),
             other => {
                 let Some(depth) = other.strip_prefix("graph:") else {
                     return Err(format!(
@@ -124,13 +128,24 @@ impl ExecMode {
         ExecMode::from_env().unwrap_or_default()
     }
 
+    /// The cross-layer depth a task graph runs this schedule at: the
+    /// [`ExecMode::Graph`] depth, else [`ExecMode::DEFAULT_GRAPH_DEPTH`]
+    /// (the `Pipelined` alias, or a `Serial` job submitted straight to
+    /// the service).
+    pub(crate) fn graph_depth(self) -> usize {
+        match self {
+            ExecMode::Graph { depth } => depth,
+            ExecMode::Serial | ExecMode::Pipelined => ExecMode::DEFAULT_GRAPH_DEPTH,
+        }
+    }
+
     /// Workspace ring length per gather stage: how many layers' worth
-    /// of synthesis may be in flight under this schedule.
+    /// of synthesis may be in flight under this schedule. `Serial`
+    /// builds its state fresh per call and holds none.
     pub(crate) fn ring(self) -> usize {
         match self {
             ExecMode::Serial => 0,
-            ExecMode::Pipelined => 1,
-            ExecMode::Graph { depth } => depth.max(1),
+            mode => mode.graph_depth().max(1),
         }
     }
 }
@@ -209,42 +224,19 @@ pub(crate) fn fold_gathers(
     record.fidelity = Some(fidelity);
 }
 
-/// A semantic-stage result computed ahead of its layer, while the
-/// previous layer's gathers were still running.
-struct SecAhead {
-    /// The layer the result is for.
-    layer: usize,
-    /// The retained set the stage saw (the post-prune set of the
-    /// previous layer). Checked at redemption time: if the caller
-    /// deviated from the sequential layer walk, the prefetch is
-    /// discarded and the stage re-runs — SEC is pure, so a recompute
-    /// is always safe.
-    input: Vec<usize>,
-    /// The pruning outcome (`None` when the stage skipped).
-    output: Option<(Vec<usize>, SecLayerStats)>,
-}
-
-/// Executes the concentration stage graph of one workload, layer by
-/// layer.
+/// The concentration stage graph of one workload: stages, workspace
+/// ring and measurement plan.
 ///
-/// Within a layer the flow is streaming and mirrors the hardware:
-/// the semantic stage runs first (it decides which token rows even
-/// exist downstream), then the four gather stages — which are mutually
-/// independent, each reading its own FC output — run **concurrently**
-/// over per-stage [`StageWorkspace`]s. In [`ExecMode::Pipelined`] the
-/// semantic stage of the *next* layer additionally overlaps the
-/// current layer's gathers. Stage outputs are folded in fixed stage
-/// order, so results are bit-identical to a serial sweep
-/// (`tests/batch_determinism.rs` proves it property-style).
-///
-/// Under [`ExecMode::Graph`] the whole measured phase is instead
-/// expressed as one explicit task graph and driven by the
-/// work-stealing [`crate::exec::TaskScheduler`]
-/// (see [`crate::exec::graph`]); this type then serves as the node
-/// inventory — stages, workspaces, measurement predicate — that the
-/// graph builder borrows. Calling [`LayerExecutor::run_layer`]
-/// directly in graph mode degrades gracefully to the pipelined
-/// two-slot schedule.
+/// Under [`ExecMode::Graph`] the measured phase is one explicit task
+/// graph (see [`crate::exec::graph`]) and this type is the node
+/// inventory its nodes borrow. [`LayerExecutor::run_layer`] is the
+/// [`ExecMode::Serial`] oracle's layer step: the semantic stage runs
+/// first (it decides which token rows even exist downstream), then the
+/// four mutually independent gather stages run concurrently, each
+/// rebuilding its state fresh, and the layer ends in a barrier. Stage
+/// outputs are folded in fixed stage order, so both schedules are
+/// bit-identical (`tests/batch_determinism.rs` proves it
+/// property-style).
 pub struct LayerExecutor<'w> {
     workload: &'w Workload,
     layers: usize,
@@ -258,17 +250,11 @@ pub struct LayerExecutor<'w> {
     gathers: Vec<GatherStage>,
     /// Workspace ring: `ring` slots per gather stage (flattened
     /// `stage * ring + slot`), lock-per-slot so concurrent stage nodes
-    /// never share mutable state. Pipelined mode uses one slot per
-    /// stage; graph mode keeps `depth` slots so `depth` layers'
-    /// synthesis can be in flight. (The semantic stage needs no
-    /// workspace and runs through its inherent `prune_layer`.)
+    /// never share mutable state. Graph mode keeps `depth` slots so
+    /// `depth` layers' synthesis can be in flight; serial mode keeps
+    /// none. (The semantic stage needs no workspace and runs through
+    /// its inherent `prune_layer`.)
     gather_ws: Vec<Mutex<StageWorkspace<'w>>>,
-    /// The prefetched semantic result for the next layer, if any.
-    sec_ahead: Option<SecAhead>,
-    /// Speculative SEC prefetches discarded because the caller
-    /// deviated from the sequential layer walk (each one costs a
-    /// recompute). Zero on any in-order walk.
-    discards: u64,
 }
 
 impl<'w> LayerExecutor<'w> {
@@ -344,8 +330,6 @@ impl<'w> LayerExecutor<'w> {
             semantic: SemanticStage::new(config, workload),
             gathers,
             gather_ws,
-            sec_ahead: None,
-            discards: 0,
         }
     }
 
@@ -357,12 +341,6 @@ impl<'w> LayerExecutor<'w> {
     /// The schedule in effect.
     pub fn mode(&self) -> ExecMode {
         self.mode
-    }
-
-    /// SEC prefetches discarded (and recomputed) so far; stays zero on
-    /// the sequential layer walk.
-    pub fn prefetch_discards(&self) -> u64 {
-        self.discards
     }
 
     /// The stage-graph nodes, semantic first, in fold order.
@@ -389,7 +367,7 @@ impl<'w> LayerExecutor<'w> {
 
     /// The workspace of `stage` at ring slot `slot` (`slot <
     /// mode.ring()`); exclusive access is the caller's contract
-    /// (dependency edges in graph mode, per-layer sequencing here).
+    /// (the graph's dependency edges).
     pub(crate) fn workspace(&self, stage: usize, slot: usize) -> &Mutex<StageWorkspace<'w>> {
         &self.gather_ws[stage * self.mode.ring() + slot]
     }
@@ -419,39 +397,22 @@ impl<'w> LayerExecutor<'w> {
             .collect()
     }
 
-    /// Runs (or redeems a prefetch of) the semantic stage at `layer`.
-    fn semantic_at(
-        &mut self,
-        layer: usize,
-        retained: &[usize],
-    ) -> Option<(Vec<usize>, SecLayerStats)> {
-        if let Some(ahead) = self.sec_ahead.take() {
-            if ahead.layer == layer && ahead.input == retained {
-                return ahead.output;
-            }
-            // Out-of-sequence call: discard and recompute (pure stage).
-            self.discards += 1;
-        }
+    /// Runs one layer of the [`ExecMode::Serial`] schedule, updating
+    /// `retained` in place: SEC, then the four gathers concurrently,
+    /// each building its state fresh, then a barrier. Layers may come
+    /// in any order — every stage is a pure function of its context.
+    pub fn run_layer(&self, layer: usize, retained: &mut Vec<usize>) -> LayerRecord {
+        let retained_in = retained.len();
+
+        // --- Semantic concentration (attention stage, streaming). ---
         let ctx = LayerCtx {
             workload: self.workload,
             layer,
             retained,
             positions: &[],
         };
-        self.semantic.prune_layer(&ctx)
-    }
-
-    /// Runs one layer of the stage graph, updating `retained` in
-    /// place. Layers are expected in sequential order (`0..layers`);
-    /// any other order still returns correct results, it merely wastes
-    /// the cross-layer prefetch (counted in
-    /// [`LayerExecutor::prefetch_discards`]).
-    pub fn run_layer(&mut self, layer: usize, retained: &mut Vec<usize>) -> LayerRecord {
-        let retained_in = retained.len();
-
-        // --- Semantic concentration (attention stage, streaming). ---
         let mut sec = None;
-        if let Some((kept, stats)) = self.semantic_at(layer, retained) {
+        if let Some((kept, stats)) = self.semantic.prune_layer(&ctx) {
             *retained = kept;
             sec = Some(stats);
         }
@@ -464,9 +425,8 @@ impl<'w> LayerExecutor<'w> {
         }
 
         // Early unpruned layers see the full retained set, whose
-        // position table the plan already holds (derived once per run
-        // — or once per *session*, shared across every frame of a
-        // stream); only genuinely pruned sets decode positions here.
+        // position table the plan already holds (derived once per
+        // run); only genuinely pruned sets decode positions here.
         let owned_positions: Vec<Option<Fhw>>;
         let positions: &[Option<Fhw>] = if retained.len() == self.plan.geometry().m_img
             && retained.iter().copied().eq(0..retained.len())
@@ -485,62 +445,12 @@ impl<'w> LayerExecutor<'w> {
             retained,
             positions,
         };
-
-        let outputs: Vec<StageOutput> = match self.mode {
-            // Pre-PR schedule: gathers concurrent (as they always
-            // were), but everything rebuilt fresh per call and a
-            // barrier at the layer boundary.
-            ExecMode::Serial => self.gathers.par_iter().map(|g| g.run_fresh(&ctx)).collect(),
-            ExecMode::Pipelined | ExecMode::Graph { .. } => {
-                // The next layer's semantic stage reads only the
-                // post-prune retained set — exactly what `retained`
-                // holds now — so it can stream alongside this layer's
-                // gathers, as the hardware overlaps SEC(l+1) with the
-                // FC gathers of layer l. (Graph mode reaching here —
-                // a direct `run_layer` call rather than the task
-                // graph — degrades to this same two-slot pipeline,
-                // cycling its deeper workspace ring.)
-                let slot = layer % self.mode.ring();
-                let next = layer + 1;
-                let workload = self.workload;
-                let semantic = &self.semantic;
-                let (outputs, ahead) = rayon::join(
-                    || {
-                        let tasks: Vec<(&GatherStage, &Mutex<StageWorkspace<'w>>)> = self
-                            .gathers
-                            .iter()
-                            .enumerate()
-                            .map(|(si, g)| (g, self.workspace(si, slot)))
-                            .collect();
-                        tasks
-                            .par_iter()
-                            .map(|(g, ws)| g.run(&ctx, &mut lock_clean(ws)))
-                            .collect::<Vec<StageOutput>>()
-                    },
-                    || {
-                        if next >= self.layers {
-                            return None;
-                        }
-                        let next_ctx = LayerCtx {
-                            workload,
-                            layer: next,
-                            retained,
-                            positions: &[],
-                        };
-                        Some(SecAhead {
-                            layer: next,
-                            input: retained.clone(),
-                            output: semantic.prune_layer(&next_ctx),
-                        })
-                    },
-                );
-                self.sec_ahead = ahead;
-                outputs
-            }
-        };
+        let outputs: Vec<StageOutput> =
+            self.gathers.par_iter().map(|g| g.run_fresh(&ctx)).collect();
 
         // Fold in fixed stage order: identical arithmetic order to the
-        // serial loop, so parallel == serial bit-for-bit.
+        // task graph's `FoldStats` nodes, so the schedules agree
+        // bit-for-bit.
         fold_gathers(
             &mut record,
             outputs.into_iter().map(|out| {
@@ -562,7 +472,10 @@ mod tests {
     #[test]
     fn exec_mode_parses_all_schedules() {
         assert_eq!(ExecMode::parse("serial"), Ok(ExecMode::Serial));
-        assert_eq!(ExecMode::parse("pipelined"), Ok(ExecMode::Pipelined));
+        // The retired two-slot schedule is no longer a valid override:
+        // reinterpreting it as `graph` would fake a measurement.
+        let err = ExecMode::parse("pipelined").expect_err("pipelined is retired");
+        assert!(err.contains(ExecMode::VALID_FORMS), "{err}");
         assert_eq!(
             ExecMode::parse("graph"),
             Ok(ExecMode::Graph {
@@ -600,9 +513,19 @@ mod tests {
     }
 
     #[test]
+    fn default_schedule_is_the_task_graph() {
+        assert_eq!(
+            ExecMode::default(),
+            ExecMode::Graph {
+                depth: ExecMode::DEFAULT_GRAPH_DEPTH
+            }
+        );
+    }
+
+    #[test]
     fn ring_lengths_follow_the_schedule() {
         assert_eq!(ExecMode::Serial.ring(), 0);
-        assert_eq!(ExecMode::Pipelined.ring(), 1);
+        assert_eq!(ExecMode::Pipelined.ring(), ExecMode::DEFAULT_GRAPH_DEPTH);
         assert_eq!(ExecMode::Graph { depth: 3 }.ring(), 3);
     }
 }

@@ -31,9 +31,8 @@
 //! Determinism does not rest on the schedule: every node is a pure
 //! function of its input slots (write-once [`OnceLock`]s guarded by
 //! the dependency edges), and the two sequential chains pin every
-//! order-sensitive reduction. The scheduler therefore never discards
-//! or recomputes work — [`SchedStats::recomputes`] exists to assert
-//! that, next to the pipelined executor's prefetch-discard counter.
+//! order-sensitive reduction. The scheduler therefore never speculates,
+//! so it never discards or recomputes work.
 //!
 //! # Scheduler core
 //!
@@ -84,6 +83,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use focus_sim::{ArchConfig, Engine, SimReport};
+use focus_tensor::quant::DataType;
 use focus_vlm::Workload;
 
 use crate::exec::executor::{fold_gathers, ExecMode, LayerExecutor, LayerRecord};
@@ -254,12 +254,6 @@ pub struct SchedStats {
     pub tasks: u64,
     /// Tasks a worker stole from another worker's queue.
     pub stolen: u64,
-    /// Tasks discarded and re-executed. Structurally zero: dependency
-    /// edges are exact, so the scheduler never speculates — unlike the
-    /// pipelined executor's SEC prefetch, whose discards
-    /// [`PipelineResult::prefetch_discards`] counts through the same
-    /// channel.
-    pub recomputes: u64,
 }
 
 /// Flattened node of one admitted job.
@@ -326,7 +320,6 @@ impl JobRun<'_> {
         SchedStats {
             tasks: self.executed.load(Ordering::SeqCst),
             stolen: self.stolen.load(Ordering::SeqCst),
-            recomputes: 0,
         }
     }
 }
@@ -1114,7 +1107,8 @@ pub(crate) struct PipelineGraph<'w> {
     /// owning session to reclaim into the next frame.
     recycled: Mutex<Option<MeasureBuffers>>,
     /// The owning session's cross-frame temporal cache, when temporal
-    /// concentration is enabled: gather nodes probe/commit through it.
+    /// concentration is enabled: FP16 gather nodes probe/commit through
+    /// it (INT8 gathers never carry — see `gather_task`).
     /// The session retains its own `Arc` (no reclaim needed).
     temporal: Option<Arc<crate::sic::TemporalCache>>,
 }
@@ -1328,14 +1322,17 @@ impl<'w> PipelineGraph<'w> {
 
     fn gather_task(&self, layer: usize, stage: usize, slot: usize) {
         let ws = self.exec.workspace(stage, slot);
+        // The carry proof (unchanged signature + fresh anchor + stable
+        // tile ⇒ byte replay) covers raw synthesised bytes and FP16's
+        // per-element rounding, but INT8 scales each row by its absmax
+        // over *all* columns — an unstable tile moves the scale of the
+        // stable ones. INT8 stages therefore never carry.
+        let gather = &self.exec.gather_stages()[stage];
         let stats = match &self.temporal {
-            Some(cache) => self.exec.gather_stages()[stage].gather_temporal(
-                &self.ctx(layer),
-                &mut lock_clean(ws),
-                cache,
-                stage,
-            ),
-            None => self.exec.gather_stages()[stage].gather(&self.ctx(layer), &mut lock_clean(ws)),
+            Some(cache) if self.pipeline.dtype != DataType::Int8 => {
+                gather.gather_temporal(&self.ctx(layer), &mut lock_clean(ws), cache, stage)
+            }
+            _ => gather.gather(&self.ctx(layer), &mut lock_clean(ws)),
         };
         let stages_n = self.exec.gather_stages().len();
         *lock_clean(&self.gathered[layer * stages_n + stage]) = Some(stats);
@@ -1406,9 +1403,7 @@ impl<'w> PipelineGraph<'w> {
 
     fn finish_task(&self) {
         let accum = lock_clean(&self.accum).take().expect("finish runs once");
-        // The graph never discards work; the counter is patched from
-        // the scheduler's stats at collection.
-        let (run, buffers) = accum.finish_recycling(self.workload, 0);
+        let (run, buffers) = accum.finish_recycling(self.workload);
         *lock_clean(&self.recycled) = Some(buffers);
         let per_layer: Vec<LayerLowered> = self
             .lowered
@@ -1424,24 +1419,11 @@ impl<'w> PipelineGraph<'w> {
 
     /// Extracts the run's result without consuming the state (the
     /// service path holds the state in an `Arc`): the assembled result
-    /// (and the cycle report if an engine was attached), with the
-    /// scheduler's recompute counter folded into the result's discard
-    /// statistics.
-    pub(crate) fn take_result_parts(
-        &self,
-        stats: SchedStats,
-    ) -> (PipelineResult, Option<SimReport>) {
-        let (mut result, report) = lock_clean(&self.result)
+    /// and the cycle report if an engine was attached.
+    pub(crate) fn take_result(&self) -> (PipelineResult, Option<SimReport>) {
+        lock_clean(&self.result)
             .take()
-            .expect("scheduler completed the graph");
-        result.prefetch_discards = stats.recomputes;
-        (result, report)
-    }
-
-    /// Consumes the run: [`PipelineGraph::take_result_parts`] for the
-    /// batch path that owns the state outright.
-    pub(crate) fn take_result(self, stats: SchedStats) -> (PipelineResult, Option<SimReport>) {
-        self.take_result_parts(stats)
+            .expect("scheduler completed the graph")
     }
 
     /// Reclaims the frame's recyclable warm state once the job has
@@ -1479,7 +1461,6 @@ mod tests {
             vec![SchedStats {
                 tasks: 4,
                 stolen: stats[0].stolen,
-                recomputes: 0
             }]
         );
         let order = order.into_inner().unwrap();
@@ -1506,7 +1487,7 @@ mod tests {
             .collect();
         let stats = TaskScheduler::with_threads(3).run(graphs);
         assert_eq!(counter.load(Ordering::Relaxed), 50);
-        assert!(stats.iter().all(|s| s.tasks == 10 && s.recomputes == 0));
+        assert!(stats.iter().all(|s| s.tasks == 10));
     }
 
     #[test]
@@ -1798,6 +1779,11 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let low_nodes = 6u64;
         let high_done = AtomicU32::new(0);
+        // High nodes served when the Low job's last node runs, read by
+        // the worker itself: the waiter's own wake-up latency (long on
+        // a loaded machine, while the flood keeps being served) must
+        // not count as time the Low job waited.
+        let high_at_low_end = AtomicU32::new(0);
         let low_done = AtomicBool::new(false);
         let core = Core::new(1, usize::MAX);
         std::thread::scope(|s| {
@@ -1837,19 +1823,29 @@ mod tests {
             }
             let mut low = TaskGraph::new();
             let mut prev: Option<TaskId> = None;
-            for _ in 0..low_nodes {
+            let (served, at_end) = (&high_done, &high_at_low_end);
+            for i in 0..low_nodes {
                 let deps: Vec<TaskId> = prev.into_iter().collect();
-                prev = Some(low.add(&deps, || {}));
+                let last = i + 1 == low_nodes;
+                prev = Some(low.add(&deps, move || {
+                    if last {
+                        at_end.store(served.load(Ordering::SeqCst), Ordering::SeqCst);
+                    }
+                }));
             }
             let high_before = high_done.load(Ordering::SeqCst) as u64;
             let low_job = core.inject(low, Priority::Low);
             low_job.wait_done();
-            let high_during = high_done.load(Ordering::SeqCst) as u64 - high_before;
+            let high_during = high_at_low_end.load(Ordering::SeqCst) as u64 - high_before;
             low_done.store(true, Ordering::SeqCst);
             let handles = producer.join().unwrap();
             for h in &handles {
                 h.wait_done();
             }
+            // Release the worker before asserting: a failed bound must
+            // fail the test, not leave the scope joining a parked
+            // worker forever.
+            core.shutdown();
             assert_eq!(low_job.stats().tasks, low_nodes);
             // Aging bound: each Low node (quantum 4) lets roughly
             // weight-ratio High nodes (quantum 1) pass, plus the
@@ -1863,7 +1859,6 @@ mod tests {
                 high_during <= bound,
                 "Low job waited through {high_during} High nodes (bound {bound})"
             );
-            core.shutdown();
         });
     }
 

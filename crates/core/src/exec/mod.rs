@@ -13,17 +13,18 @@
 //!   activation synthesiser, recycled activation matrix, flat gather
 //!   lookup) so the measured phase never re-allocates or re-hashes on
 //!   its hot path;
-//! * [`LayerExecutor`] — drives SEC plus the four gather stages
-//!   through one streaming loop per layer; in [`ExecMode::Pipelined`]
-//!   (the default) the semantic stage of layer *l+1* overlaps the
-//!   gathers of layer *l*, as the hardware streams;
+//! * [`LayerExecutor`] — the node inventory of one workload (SEC, the
+//!   four gather stages, their workspace ring, the measurement plan)
+//!   and the layer loop of [`ExecMode::Serial`], the independent
+//!   oracle schedule every other path is checked against;
 //! * [`TaskGraph`] / [`TaskScheduler`] ([`graph`] module) — the
-//!   general schedule behind [`ExecMode::Graph`]: each layer
+//!   schedule behind [`ExecMode::Graph`], the default: each layer
 //!   decomposes into `Sec`/`Synth`/`Gather`/`Fold`/`Lower` task nodes
 //!   with explicit dependencies, and a work-stealing scheduler
 //!   overlaps layer *l*'s fold/lowering with layer *l+1*'s synthesis
-//!   and SEC at any pipeline depth — across workload boundaries when
-//!   batched;
+//!   and SEC at any pipeline depth — as the hardware streams SEC of
+//!   layer *l+1* alongside the FC gathers of layer *l*, and across
+//!   workload boundaries when batched;
 //! * [`BatchRunner`] — fans whole `FocusPipeline::run` calls out
 //!   across cores (`run_many` for workload grids, `run_jobs` for
 //!   config sweeps, and the `_sim` variants that carry cycle

@@ -14,7 +14,7 @@
 //! large requests cannot queue unboundedly ahead of the workers.
 //!
 //! [`JobHandle::wait`] returns the same bit-identical
-//! [`PipelineResult`] as [`ExecMode::Serial`]
+//! [`PipelineResult`] as [`crate::exec::ExecMode::Serial`]
 //! (`tests/batch_determinism.rs` proves it property-style across
 //! submission orders and priorities), and a panic inside one request
 //! fails only that request — its handle re-raises the original
@@ -34,7 +34,6 @@ use focus_sim::{Engine, SimReport};
 
 use crate::exec::batch::BatchJob;
 use crate::exec::graph::{lock_clean, Core, JobRun, PipelineGraph, Priority, TaskGraph, TaskId};
-use crate::exec::ExecMode;
 use crate::pipeline::PipelineResult;
 use crate::session::FrameWarm;
 use crate::sic::TemporalSnapshot;
@@ -180,7 +179,7 @@ impl ServiceJob {
         // above). The allocation is never mutated, no unique-ownership
         // claim is ever asserted over it (`Arc` moves are pointer
         // copies, unlike `Box` moves), and the forged `'static` never
-        // escapes this struct: `run_node` and `take_result_parts` only
+        // escapes this struct: `run_node` and `take_result` only
         // hand out data the graph state owns. (`warm` is owned data —
         // no borrows to anchor.)
         let graph = unsafe {
@@ -262,8 +261,9 @@ impl JobHandle {
 
     /// Blocks until the request completes and returns its result —
     /// bit-identical to running the same job under
-    /// [`ExecMode::Serial`]. Re-raises the original payload if a node
-    /// of **this** request panicked (the pool itself keeps serving).
+    /// [`crate::exec::ExecMode::Serial`]. Re-raises the original
+    /// payload if a node of **this** request panicked (the pool itself
+    /// keeps serving).
     pub fn wait(self) -> PipelineResult {
         self.wait_sim().0
     }
@@ -276,7 +276,7 @@ impl JobHandle {
         if let Some(payload) = self.run.take_panic() {
             std::panic::resume_unwind(payload);
         }
-        self.state.graph.take_result_parts(self.run.stats())
+        self.state.graph.take_result()
     }
 
     /// The request's shared state and run record, for the session
@@ -346,8 +346,9 @@ impl FocusService {
     /// immediately (unless admission control applies backpressure —
     /// then the call blocks until the pool has drained enough nodes).
     /// The cross-layer pipeline depth is taken from the job pipeline's
-    /// [`ExecMode::Graph`] depth, or [`ExecMode::DEFAULT_GRAPH_DEPTH`]
-    /// for jobs configured with a loop schedule.
+    /// [`crate::exec::ExecMode::Graph`] depth, or
+    /// [`crate::exec::ExecMode::DEFAULT_GRAPH_DEPTH`] for a `Serial`
+    /// job.
     ///
     /// The request takes the job by value: it must own its inputs for
     /// as long as it runs, which is independent of the submitting
@@ -387,14 +388,6 @@ impl FocusService {
         self.submit_with(job, priority, engine, None)
     }
 
-    /// The pipeline depth a job's graph runs at when submitted here.
-    pub(crate) fn graph_depth(job: &BatchJob) -> usize {
-        match job.pipeline.exec_mode {
-            ExecMode::Graph { depth } => depth,
-            ExecMode::Serial | ExecMode::Pipelined => ExecMode::DEFAULT_GRAPH_DEPTH,
-        }
-    }
-
     fn submit_with(
         &self,
         job: BatchJob,
@@ -402,7 +395,7 @@ impl FocusService {
         engine: Option<Arc<Engine>>,
         warm: Option<FrameWarm>,
     ) -> JobHandle {
-        let depth = FocusService::graph_depth(&job);
+        let depth = job.pipeline.exec_mode.graph_depth();
         let state = Arc::new(ServiceJob::new(job, depth, engine, warm));
         let mut graph: TaskGraph<'static> = TaskGraph::new();
         let mut ids: Vec<TaskId> = Vec::new();
@@ -551,6 +544,7 @@ impl Drop for FocusService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecMode;
     use crate::pipeline::FocusPipeline;
     use focus_sim::ArchConfig;
     use focus_vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
@@ -595,7 +589,6 @@ mod tests {
                 .run(&job.workload, &job.arch);
             assert_eq!(result.work_items, serial.work_items);
             assert_eq!(result.accuracy, serial.accuracy);
-            assert_eq!(result.prefetch_discards, 0);
         }
 
         // Between jobs the pool parks: both workers end up blocked on

@@ -26,9 +26,11 @@
 //! * [`sec`] / [`sic`] — the two concentration mechanisms;
 //! * [`exec`] — the execution engine: the
 //!   [`exec::ConcentrationStage`] trait (one stage-node body), the
-//!   [`exec::LayerExecutor`] (the serial/pipelined layer loop), the
+//!   [`exec::LayerExecutor`] (the node inventory and the serial
+//!   oracle's layer loop), the
 //!   [`exec::TaskGraph`]/[`exec::TaskScheduler`] pair behind
-//!   [`exec::ExecMode::Graph`] (every layer decomposed into
+//!   [`exec::ExecMode::Graph`], the default schedule (every layer
+//!   decomposed into
 //!   `Sec`/`Synth`/`Gather`/`Fold`/`Lower` task nodes on a
 //!   work-stealing scheduler, cross-layer and cross-workload overlap
 //!   at any depth), and the [`exec::BatchRunner`] (fans whole

@@ -65,11 +65,13 @@ pub struct FocusPipeline {
 
 impl FocusPipeline {
     /// A pipeline with the Table I configuration. The measured-phase
-    /// schedule defaults to [`ExecMode::Pipelined`] but honours the
+    /// schedule defaults to the task graph
+    /// (`ExecMode::Graph { depth: ExecMode::DEFAULT_GRAPH_DEPTH }`, run
+    /// on the shared [`FocusService`]) but honours the
     /// [`crate::exec::EXEC_MODE_ENV`] environment override
-    /// (`FOCUS_EXEC_MODE=serial|pipelined|graph[:N]`), so every figure
-    /// binary can be reproduced under any schedule without code edits
-    /// — results are bit-identical across schedules.
+    /// (`FOCUS_EXEC_MODE=serial|graph[:N]`), so every figure binary can
+    /// be reproduced under any schedule without code edits — results
+    /// are bit-identical across schedules.
     pub fn paper() -> Self {
         FocusPipeline {
             focus: FocusConfig::paper(),
@@ -108,31 +110,28 @@ impl FocusPipeline {
 
     /// Runs the measured phase and lowers to paper scale.
     ///
-    /// Under [`ExecMode::Graph`] the run is submitted to the
-    /// process-wide [`FocusService`] — one long-lived worker pool
+    /// Under [`ExecMode::Graph`] (the default) the run is submitted to
+    /// the process-wide [`FocusService`] — one long-lived worker pool
     /// serves every graph-mode run, batch and streaming session in
     /// the process, so concurrent callers interleave at stage
     /// granularity (arbitrated by the weighted fair queue) instead of
-    /// each spinning up a scheduler. Results stay bit-identical to the
-    /// loop schedules. For an unbounded per-frame feed, use
+    /// each spinning up a scheduler. [`ExecMode::Serial`] runs the
+    /// oracle layer loop inline; results are bit-identical either way.
+    /// For an unbounded per-frame feed, use
     /// [`crate::exec::StreamSession`] instead of calling this in a
     /// loop — same results, plus windowed backpressure and warm
     /// cross-frame state.
     pub fn run(&self, workload: &Workload, arch: &ArchConfig) -> PipelineResult {
-        match self.exec_mode {
-            ExecMode::Graph { .. } => {
-                let job = BatchJob {
-                    pipeline: self.clone(),
-                    workload: workload.clone(),
-                    arch: arch.clone(),
-                };
-                FocusService::global().submit(job, Priority::Normal).wait()
-            }
-            ExecMode::Serial | ExecMode::Pipelined => {
-                let measured = self.measure(workload);
-                self.lower(workload, arch, measured)
-            }
+        if self.exec_mode == ExecMode::Serial {
+            let measured = self.measure(workload);
+            return self.lower(workload, arch, measured);
         }
+        let job = BatchJob {
+            pipeline: self.clone(),
+            workload: workload.clone(),
+            arch: arch.clone(),
+        };
+        FocusService::global().submit(job, Priority::Normal).wait()
     }
 
     /// Runs the whole pipeline — measured phase **and** lowering — as
@@ -154,8 +153,8 @@ impl FocusPipeline {
         let state = PipelineGraph::new(self, workload, arch, depth, None);
         let mut graph = TaskGraph::new();
         state.build(&mut graph);
-        let stats = scheduler.run(vec![graph]);
-        state.take_result(stats[0]).0
+        scheduler.run(vec![graph]);
+        state.take_result().0
     }
 }
 

@@ -1,7 +1,7 @@
 //! `focus-lint` — workspace-aware static analysis for the Focus repo.
 //!
 //! The repo's headline guarantee — bit-identical results across
-//! Serial/Pipelined/Graph schedules, Scalar/Simd backends, and
+//! Serial/Graph schedules, Scalar/Simd backends, and
 //! temporal carry replay — rests on invariants that used to live in
 //! prose and proptests: transcendentals only in `focus_tensor::math`,
 //! kernels never open-coded in `exec/`/`sic/`, `lock_clean` everywhere

@@ -359,7 +359,14 @@ mod tests {
         // windows of one stream segment, any token whose signature held
         // re-synthesises every model-stable column tile bit-identically
         // — the proof the temporal cache substitutes for byte compares.
+        // It survives FP16 rounding (per element) but not INT8: the
+        // per-row absmax scale spans unstable tiles too, so a stable
+        // tile's quantised bytes move with its neighbours — which is
+        // why INT8 gather stages never carry.
         use crate::embedding::Stage;
+        use focus_tensor::half::round_slice_to_f16;
+        use focus_tensor::quant::fake_quantize_in_place;
+        use focus_tensor::Matrix;
         let stream = SceneStream {
             seed: 11,
             correlation: 1.0,
@@ -383,7 +390,13 @@ mod tests {
         let (width, v_len) = (64, 32);
         let mut ra = vec![0.0; width];
         let mut rb = vec![0.0; width];
-        let mut proved = 0;
+        let same = |x: &[f32], y: &[f32]| x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits());
+        let int8 = |row: &[f32]| {
+            let mut m = Matrix::from_vec(1, row.len(), row.to_vec());
+            fake_quantize_in_place(&mut m);
+            m.into_vec()
+        };
+        let (mut proved, mut int8_moved) = (0, 0);
         for (layer, stage) in [(0, Stage::PvOut), (2, Stage::FfnAct)] {
             for t in 0..a.image_tokens_scaled() {
                 if sigs_a[t] != sigs_b[t] {
@@ -391,6 +404,10 @@ mod tests {
                 }
                 syn_a.token_row(t, layer, stage, &mut ra);
                 syn_b.token_row(t, layer, stage, &mut rb);
+                let (mut ha, mut hb) = (ra.clone(), rb.clone());
+                round_slice_to_f16(&mut ha);
+                round_slice_to_f16(&mut hb);
+                let (qa, qb) = (int8(&ra), int8(&rb));
                 let tiles = model.tile_pattern(sigs_a[t].primary, layer, stage, width, v_len);
                 for (ct, &stable) in tiles.iter().enumerate() {
                     if !stable {
@@ -398,18 +415,27 @@ mod tests {
                     }
                     let c0 = ct * v_len;
                     let c1 = (c0 + v_len).min(width);
+                    let at = format!("token {t} layer {layer} tile {ct}");
                     assert!(
-                        ra[c0..c1]
-                            .iter()
-                            .zip(&rb[c0..c1])
-                            .all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "proved-stable tile moved (token {t} layer {layer} tile {ct})"
+                        same(&ra[c0..c1], &rb[c0..c1]),
+                        "proved-stable tile moved ({at})"
                     );
+                    assert!(
+                        same(&ha[c0..c1], &hb[c0..c1]),
+                        "proved-stable tile moved under FP16 ({at})"
+                    );
+                    if !same(&qa[c0..c1], &qb[c0..c1]) {
+                        int8_moved += 1;
+                    }
                     proved += 1;
                 }
             }
         }
         assert!(proved > 20, "theorem exercised on {proved} tiles only");
+        assert!(
+            int8_moved > 0,
+            "expected per-row INT8 scaling to move some of {proved} proved tiles"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use focus::core::exec::{
     BatchJob, BatchRunner, ConcentrationStage, ExecMode, FocusService, GatherStage, JobHandle,
-    LayerCtx, LayerExecutor, Priority, ServiceConfig, StageOutput, StageWorkspace, TaskScheduler,
+    LayerCtx, Priority, ServiceConfig, StageOutput, StageWorkspace, TaskScheduler,
 };
 use focus::core::pipeline::{FocusPipeline, PipelineResult};
 use focus::core::sic::{ConvLayouter, Fhw};
@@ -56,11 +56,6 @@ fn assert_identical(parallel: &PipelineResult, serial: &PipelineResult, what: &s
         (serial.sic_comparisons, serial.sic_matches),
         "{what}: matcher counters"
     );
-    // Sequential layer walks never waste speculative work, under any
-    // schedule: the pipelined prefetch always redeems, and the graph
-    // scheduler's dependencies are exact.
-    assert_eq!(parallel.prefetch_discards, 0, "{what}: discards");
-    assert_eq!(serial.prefetch_discards, 0, "{what}: serial discards");
 }
 
 #[test]
@@ -80,7 +75,7 @@ fn run_many_matches_sequential_over_seeds_and_models() {
     let runner = BatchRunner::paper();
     let batched = runner.run_many(&workloads);
 
-    let pipeline = FocusPipeline::paper();
+    let pipeline = FocusPipeline::paper().with_exec_mode(ExecMode::Serial);
     let arch = ArchConfig::focus();
     assert_eq!(batched.len(), workloads.len());
     for (i, wl) in workloads.iter().enumerate() {
@@ -124,7 +119,11 @@ fn run_jobs_matches_sequential_over_configs() {
     let batched = BatchRunner::run_jobs(&jobs);
     assert_eq!(batched.len(), jobs.len());
     for (i, job) in jobs.iter().enumerate() {
-        let serial = job.pipeline.run(&job.workload, &job.arch);
+        let serial = job
+            .pipeline
+            .clone()
+            .with_exec_mode(ExecMode::Serial)
+            .run(&job.workload, &job.arch);
         assert_identical(&batched[i], &serial, &format!("config {i}"));
     }
 }
@@ -132,13 +131,10 @@ fn run_jobs_matches_sequential_over_configs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every schedule of the execution engine — the hand-rolled
-    /// cross-layer pipeline (SEC of layer l+1 overlapped with the
-    /// gathers of layer l) and the task-graph scheduler at pipeline
-    /// depths 1..=4 on 1..=4 workers — is **bit-identical** to the
-    /// pre-workspace serial schedule, for arbitrary retention
-    /// schedules, precisions and models, on a forced multi-thread
-    /// pool. (The pool width is set once, like every other test in
+    /// The task-graph schedule at pipeline depths 1..=4 on 1..=4
+    /// workers is **bit-identical** to the serial oracle schedule, for
+    /// arbitrary retention schedules, precisions and models, on a
+    /// forced multi-thread pool. (The pool width is set once, like every other test in
     /// this binary — the env var is process-global, so mutating it per
     /// case would race with tests running concurrently; the graph
     /// scheduler's worker count is an explicit parameter instead, so
@@ -171,12 +167,6 @@ proptest! {
         }
         let arch = ArchConfig::focus();
         let serial = pipeline.clone().with_exec_mode(ExecMode::Serial).run(&wl, &arch);
-        let pipelined = pipeline.clone().with_exec_mode(ExecMode::Pipelined).run(&wl, &arch);
-        assert_identical(
-            &pipelined,
-            &serial,
-            &format!("pipelined, schedule seed {seed}, int8 {int8}"),
-        );
         let graph = pipeline.run_graph(&wl, &arch, depth, &TaskScheduler::with_threads(threads));
         assert_identical(
             &graph,
@@ -188,9 +178,7 @@ proptest! {
     /// Serving-path determinism: jobs with distinct configurations and
     /// architectures, submitted **out of order** at **mixed
     /// priorities** through the one shared [`FocusService`], come back
-    /// bit-identical to [`ExecMode::Serial`] — and sequential walks
-    /// through the service never discard speculative work
-    /// (`assert_identical` pins `prefetch_discards` to zero).
+    /// bit-identical to [`ExecMode::Serial`].
     #[test]
     fn service_submissions_match_serial_for_any_order_and_priority(
         perm in 0usize..24,
@@ -399,34 +387,6 @@ fn graph_batch_matches_sequential_runs() {
         assert_identical(r, &serial, &format!("graph job {i}"));
         assert_eq!(*rep, serial_rep, "graph job report {i}");
     }
-}
-
-/// The discard counter is live: an out-of-sequence layer walk throws
-/// the pipelined executor's SEC prefetch away (and recomputes), and
-/// the counter says so — while the sequential walk above stays at
-/// zero.
-#[test]
-fn out_of_sequence_walk_counts_prefetch_discards() {
-    let wl = Workload::new(
-        ModelKind::LlavaVideo7B,
-        DatasetKind::VideoMme,
-        WorkloadScale::tiny(),
-        42,
-    );
-    let pipeline = FocusPipeline::paper().with_exec_mode(ExecMode::Pipelined);
-    let mut exec = LayerExecutor::new(&pipeline, &wl);
-    let m_img = wl.image_tokens_scaled();
-
-    // Layer 0 prefetches SEC(1); jumping to layer 7 must discard it.
-    let mut retained: Vec<usize> = (0..m_img).collect();
-    exec.run_layer(0, &mut retained);
-    assert_eq!(exec.prefetch_discards(), 0);
-    exec.run_layer(7, &mut retained);
-    assert_eq!(
-        exec.prefetch_discards(),
-        1,
-        "the out-of-sequence walk must discard the layer-1 prefetch"
-    );
 }
 
 /// Workspace reuse (resident synthesiser, recycled activation matrix,

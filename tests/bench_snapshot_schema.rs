@@ -44,7 +44,6 @@ fn bench_snapshot_has_the_expected_shape() {
         "cells",
         "threads",
         "serial_resynthesis_s",
-        "pipelined_batched_s",
         "graph_batched_s",
         "graph_traced_s",
         "service_staggered_s",
@@ -74,8 +73,7 @@ fn bench_snapshot_has_the_expected_shape() {
         "quantize_phase_s",
         "quantize_phase_scalar_s",
         "quantize_kernel_speedup",
-        "speedup",
-        "graph_vs_pipelined",
+        "graph_vs_serial",
         "synthesis_share",
     ] {
         let v = field(&json, key);

@@ -1,7 +1,7 @@
 //! The observability layer's headline guarantee, end to end:
 //! **tracing is bit-invisible**. A run with span recording on must
 //! produce exactly the results of the same run with recording off —
-//! across exec modes (serial, pipelined, graph), worker counts and
+//! across exec modes (serial, graph), worker counts and
 //! pipeline depths (proptest) — because spans are pure metadata: the
 //! recorder observes timestamps around node bodies and the `Timed`
 //! kernel wrapper forwards every launch verbatim.
@@ -50,26 +50,24 @@ fn workload(seed: u64) -> Workload {
 
 /// One full pipeline run under `mode`. Graph mode runs on an owned
 /// service at an explicit worker count so the proptest sweep controls
-/// real concurrency; the loop schedules run inline.
+/// real concurrency; the serial loop runs inline.
 fn run_once(mode: ExecMode, threads: usize, seed: u64) -> PipelineResult {
     let pipeline = FocusPipeline::paper().with_exec_mode(mode);
     let arch = ArchConfig::focus();
-    match mode {
-        ExecMode::Graph { .. } => {
-            let service = FocusService::new(ServiceConfig {
-                threads,
-                max_inflight_nodes: 4096,
-                trace: None,
-            });
-            let job = BatchJob {
-                pipeline,
-                workload: workload(seed),
-                arch,
-            };
-            service.submit(job, Priority::Normal).wait()
-        }
-        ExecMode::Serial | ExecMode::Pipelined => pipeline.run(&workload(seed), &arch),
+    if mode == ExecMode::Serial {
+        return pipeline.run(&workload(seed), &arch);
     }
+    let service = FocusService::new(ServiceConfig {
+        threads,
+        max_inflight_nodes: 4096,
+        trace: None,
+    });
+    let job = BatchJob {
+        pipeline,
+        workload: workload(seed),
+        arch,
+    };
+    service.submit(job, Priority::Normal).wait()
 }
 
 fn assert_identical(traced: &PipelineResult, untraced: &PipelineResult, what: &str) {
@@ -100,14 +98,10 @@ proptest! {
         seed in 0u64..1_000,
         threads in 1usize..4,
         depth in 1usize..4,
-        mode_pick in 0usize..3,
+        mode_pick in 0usize..2,
     ) {
         force_parallel_pool();
-        let mode = [
-            ExecMode::Serial,
-            ExecMode::Pipelined,
-            ExecMode::Graph { depth },
-        ][mode_pick];
+        let mode = [ExecMode::Serial, ExecMode::Graph { depth }][mode_pick];
         let _guard = lock_trace();
 
         spans::set_enabled(false);
