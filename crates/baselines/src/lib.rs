@@ -32,6 +32,8 @@
 //! assert!(result.sparsity() > 0.1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adaptiv;
 pub mod cmc;
 pub mod common;

@@ -281,7 +281,7 @@ fn synthesis_pass(
     wl: &Workload,
     walk: &[(usize, Vec<usize>)],
     stages: &[GatherStage],
-    ws: &mut [StageWorkspace<'_>],
+    ws: &mut [StageWorkspace],
 ) {
     for (layer, retained) in walk {
         for (si, stage) in stages.iter().enumerate() {
@@ -306,15 +306,11 @@ type StagedWalk = Vec<(usize, Vec<usize>, Vec<Option<Fhw>>)>;
 /// explicit kernel `backend` (so a `FOCUS_BACKEND` override cannot
 /// relabel what a leg measures) and `dtype`.
 #[allow(clippy::type_complexity)]
-fn staged_fixture<'w>(
-    wls: &'w [Workload],
+fn staged_fixture(
+    wls: &[Workload],
     dtype: DataType,
     backend: BackendHandle,
-) -> (
-    Vec<StagedWalk>,
-    Vec<GatherStage>,
-    Vec<Vec<StageWorkspace<'w>>>,
-) {
+) -> (Vec<StagedWalk>, Vec<GatherStage>, Vec<Vec<StageWorkspace>>) {
     let walks = wls
         .iter()
         .map(|wl| {
@@ -355,7 +351,7 @@ fn staged_grid_pass(
     wls: &[Workload],
     walks: &[StagedWalk],
     stages: &[GatherStage],
-    ws: &mut [Vec<StageWorkspace<'_>>],
+    ws: &mut [Vec<StageWorkspace>],
 ) -> (Duration, Duration, Duration) {
     let (mut synth, mut convert, mut gather) = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
     for ((wl, walk), ws) in wls.iter().zip(walks).zip(ws.iter_mut()) {
@@ -451,7 +447,7 @@ fn synthesis_fixture(
 ) -> (
     Vec<Vec<(usize, Vec<usize>)>>,
     Vec<GatherStage>,
-    Vec<Vec<StageWorkspace<'_>>>,
+    Vec<Vec<StageWorkspace>>,
 ) {
     let walks = wls.iter().map(measured_walk).collect();
     let stages: Vec<GatherStage> = Stage::GATHER_POINTS

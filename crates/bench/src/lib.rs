@@ -25,6 +25,8 @@
 //! ([`run_focus_many`], [`run_focus_jobs`]) that fan pipeline runs out
 //! across cores via [`focus_core::exec::BatchRunner`].
 
+#![forbid(unsafe_code)]
+
 use std::sync::OnceLock;
 
 use focus_baselines::{

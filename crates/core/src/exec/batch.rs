@@ -49,12 +49,10 @@ impl BatchJob {
 /// them in submission order — the graph-mode spine of every batch
 /// entry point below.
 ///
-/// Each submission clones its job out of the caller's borrow: an
-/// admitted request must own its inputs, because the service (and the
-/// request) outlives this call's stack frame. The copy is O(scene
-/// descriptor) — microseconds against the seconds of measured-phase
-/// work a job represents — which is why the borrowed zero-copy batch
-/// path was not kept alongside the serving path.
+/// Each submission clones its job out of the caller's borrow, because
+/// an admitted request owns its inputs for as long as it runs. The
+/// copy is O(1) in the scene: a [`Workload`] shares its scene through
+/// an `Arc`.
 fn through_service(
     jobs: impl IntoIterator<Item = (BatchJob, Option<Arc<Engine>>)>,
     priority: Priority,
@@ -169,8 +167,8 @@ impl BatchRunner {
     /// `run`) across the parallel region, so per-result engine
     /// rebuilds and the serial post-pass both disappear. Under
     /// [`ExecMode::Graph`] the simulation rides in each request's
-    /// `Finish` node on the shared service, still borrowing the one
-    /// engine.
+    /// `Finish` node on the shared service, every request sharing the
+    /// one engine's `Arc`.
     pub fn run_many_sim(&self, workloads: &[Workload]) -> Vec<(PipelineResult, SimReport)> {
         let engine = Arc::new(Engine::new(self.arch.clone()));
         if self.pipeline.exec_mode != ExecMode::Serial {
@@ -198,7 +196,7 @@ impl BatchRunner {
     /// the parallel region: one [`Engine`] is constructed per
     /// *distinct* [`ArchConfig`] in the job list (config sweeps share
     /// one arch across hundreds of jobs) and jobs share their engine
-    /// by reference.
+    /// through an `Arc`.
     pub fn run_jobs_sim(jobs: &[BatchJob]) -> Vec<(PipelineResult, SimReport)> {
         let mut engines: Vec<Arc<Engine>> = Vec::new();
         let engine_for: Vec<Arc<Engine>> = jobs

@@ -229,7 +229,7 @@ pub(crate) fn fold_gathers(
 ///
 /// Under [`ExecMode::Graph`] the measured phase is one explicit task
 /// graph (see [`crate::exec::graph`]) and this type is the node
-/// inventory its nodes borrow. [`LayerExecutor::run_layer`] is the
+/// inventory its nodes share. [`LayerExecutor::run_layer`] is the
 /// [`ExecMode::Serial`] oracle's layer step: the semantic stage runs
 /// first (it decides which token rows even exist downstream), then the
 /// four mutually independent gather stages run concurrently, each
@@ -237,8 +237,8 @@ pub(crate) fn fold_gathers(
 /// outputs are folded in fixed stage order, so both schedules are
 /// bit-identical (`tests/batch_determinism.rs` proves it
 /// property-style).
-pub struct LayerExecutor<'w> {
-    workload: &'w Workload,
+pub struct LayerExecutor {
+    workload: Workload,
     layers: usize,
     mode: ExecMode,
     /// The measurement plan: prune layers, measured-layer predicate,
@@ -246,7 +246,7 @@ pub struct LayerExecutor<'w> {
     /// every frame of a [`crate::exec::StreamSession`].
     plan: Arc<RetentionPlan>,
     layouter: ConvLayouter,
-    semantic: SemanticStage<'w>,
+    semantic: SemanticStage,
     gathers: Vec<GatherStage>,
     /// Workspace ring: `ring` slots per gather stage (flattened
     /// `stage * ring + slot`), lock-per-slot so concurrent stage nodes
@@ -254,18 +254,18 @@ pub struct LayerExecutor<'w> {
     /// `depth` layers' synthesis can be in flight; serial mode keeps
     /// none. (The semantic stage needs no workspace and runs through
     /// its inherent `prune_layer`.)
-    gather_ws: Vec<Mutex<StageWorkspace<'w>>>,
+    gather_ws: Vec<Mutex<StageWorkspace>>,
 }
 
-impl<'w> LayerExecutor<'w> {
+impl LayerExecutor {
     /// Builds the executor for one (pipeline, workload) pair, using the
     /// pipeline's execution mode.
-    pub fn new(pipeline: &FocusPipeline, workload: &'w Workload) -> Self {
+    pub fn new(pipeline: &FocusPipeline, workload: &Workload) -> Self {
         LayerExecutor::with_mode(pipeline, workload, pipeline.exec_mode)
     }
 
     /// Builds the executor with an explicit schedule.
-    pub fn with_mode(pipeline: &FocusPipeline, workload: &'w Workload, mode: ExecMode) -> Self {
+    pub fn with_mode(pipeline: &FocusPipeline, workload: &Workload, mode: ExecMode) -> Self {
         LayerExecutor::with_parts(pipeline, workload, mode, None, None)
     }
 
@@ -277,7 +277,7 @@ impl<'w> LayerExecutor<'w> {
     /// bit-identical either way.
     pub(crate) fn with_parts(
         pipeline: &FocusPipeline,
-        workload: &'w Workload,
+        workload: &Workload,
         mode: ExecMode,
         plan: Option<Arc<RetentionPlan>>,
         scratch: Option<Vec<StageScratch>>,
@@ -296,7 +296,7 @@ impl<'w> LayerExecutor<'w> {
             .collect();
         // Serial mode only ever calls `run_fresh`, which builds its own
         // state — don't charge it idle workspaces (ring = 0).
-        let gather_ws: Vec<Mutex<StageWorkspace<'w>>> = match scratch {
+        let gather_ws: Vec<Mutex<StageWorkspace>> = match scratch {
             Some(sets) => {
                 assert_eq!(
                     sets.len(),
@@ -322,7 +322,7 @@ impl<'w> LayerExecutor<'w> {
                 .collect(),
         };
         LayerExecutor {
-            workload,
+            workload: workload.clone(),
             layers: scaled.layers,
             mode,
             plan,
@@ -351,7 +351,7 @@ impl<'w> LayerExecutor<'w> {
     }
 
     /// The semantic stage node.
-    pub(crate) fn semantic(&self) -> &SemanticStage<'w> {
+    pub(crate) fn semantic(&self) -> &SemanticStage {
         &self.semantic
     }
 
@@ -368,7 +368,7 @@ impl<'w> LayerExecutor<'w> {
     /// The workspace of `stage` at ring slot `slot` (`slot <
     /// mode.ring()`); exclusive access is the caller's contract
     /// (the graph's dependency edges).
-    pub(crate) fn workspace(&self, stage: usize, slot: usize) -> &Mutex<StageWorkspace<'w>> {
+    pub(crate) fn workspace(&self, stage: usize, slot: usize) -> &Mutex<StageWorkspace> {
         &self.gather_ws[stage * self.mode.ring() + slot]
     }
 
@@ -406,7 +406,7 @@ impl<'w> LayerExecutor<'w> {
 
         // --- Semantic concentration (attention stage, streaming). ---
         let ctx = LayerCtx {
-            workload: self.workload,
+            workload: &self.workload,
             layer,
             retained,
             positions: &[],
@@ -440,7 +440,7 @@ impl<'w> LayerExecutor<'w> {
             &owned_positions
         };
         let ctx = LayerCtx {
-            workload: self.workload,
+            workload: &self.workload,
             layer,
             retained,
             positions,

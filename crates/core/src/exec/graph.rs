@@ -1,9 +1,9 @@
 //! The task-graph schedule: the measured + lowering phases of a
 //! pipeline run decomposed into explicit task nodes with data
 //! dependencies, driven by a small work-stealing scheduler core that
-//! admits graphs **dynamically** — batches drain through it, and the
-//! persistent [`crate::exec::FocusService`] keeps its workers parked
-//! between requests instead of tearing the pool down.
+//! admits graphs **dynamically** — the persistent
+//! [`crate::exec::FocusService`] keeps its workers parked between
+//! requests instead of tearing the pool down.
 //!
 //! # Node inventory (per transformer layer `l`)
 //!
@@ -21,12 +21,11 @@
 //! carry the retained-token walk and the in-order statistics fold that
 //! make results bit-identical to [`ExecMode::Serial`]. The expensive
 //! per-layer statistics reduction (`FoldStats`) floats **outside** the
-//! ordered chain (ROADMAP item (j)): layer *l*'s fold and lowering
-//! overlap layer *l+1*'s synthesis and SEC at any depth, and when
-//! several jobs share one scheduler — a fused batch or the streaming
-//! [`crate::exec::FocusService`] — stages of *different requests*
-//! interleave on the same workers, the streaming-serving shape of the
-//! paper's architecture.
+//! ordered chain: layer *l*'s fold and lowering overlap layer *l+1*'s
+//! synthesis and SEC at any depth, and since every job shares one
+//! scheduler — batches, single runs and streaming frames alike —
+//! stages of *different requests* interleave on the same workers, the
+//! streaming-serving shape of the paper's architecture.
 //!
 //! Determinism does not rest on the schedule: every node is a pure
 //! function of its input slots (write-once [`OnceLock`]s guarded by
@@ -36,12 +35,13 @@
 //!
 //! # Scheduler core
 //!
-//! [`Core`] is the shared engine behind both entry points: per-worker
-//! LIFO deques with FIFO stealing, a **weighted fair** global ready
-//! queue, and a version-counter park/unpark protocol whose sleep
-//! decision happens **under the state lock** (no lost-wakeup window —
-//! every producer publishes its push by bumping the version under the
-//! same lock a parking worker re-checks before it waits). All internal
+//! [`Core`] is the engine behind [`crate::exec::FocusService`]:
+//! per-worker LIFO deques with FIFO stealing, a **weighted fair**
+//! global ready queue, and a version-counter park/unpark protocol
+//! whose sleep decision happens **under the state lock** (no
+//! lost-wakeup window — every producer publishes its push by bumping
+//! the version under the same lock a parking worker re-checks before
+//! it waits). All internal
 //! locking recovers from poisoning, so the first panic payload of a
 //! task body is always what propagates — never an opaque
 //! `PoisonError`. A panicked job is *skip-drained*: its remaining
@@ -52,9 +52,8 @@
 //! # Fair queueing (no starvation)
 //!
 //! The global ready queue is a deficit-weighted fair queue over
-//! **per-job virtual finish times**, replacing the three strict-FIFO
-//! priority lanes that let a saturating stream of High jobs starve
-//! everything else (ROADMAP (k)). Each [`Priority`] is a *weight*;
+//! **per-job virtual finish times**, so a saturating stream of High
+//! jobs cannot starve everything else. Each [`Priority`] is a *weight*;
 //! every task carries a tag
 //! `tag = max(virtual_time, job.finish_tag) + quantum(priority)` where
 //! the quantum is inversely proportional to the weight, and the global
@@ -78,20 +77,20 @@
 
 use std::any::Any;
 use std::collections::{BinaryHeap, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use focus_sim::{ArchConfig, Engine, SimReport};
+use focus_sim::{Engine, SimReport};
 use focus_tensor::quant::DataType;
-use focus_vlm::Workload;
 
+use crate::exec::batch::BatchJob;
 use crate::exec::executor::{fold_gathers, ExecMode, LayerExecutor, LayerRecord};
 use crate::exec::stage::{LayerCtx, StageScratch};
 use crate::obs::spans::{Span, SpanKind, SpanLabel};
 use crate::pipeline::lower::LayerLowered;
 use crate::pipeline::measure::{MeasureAccum, MeasureBuffers};
-use crate::pipeline::{FocusPipeline, PipelineResult, SecLayerStats};
+use crate::pipeline::{PipelineResult, SecLayerStats};
 use crate::session::FrameWarm;
 use crate::sic::{Fhw, MatrixGatherStats};
 
@@ -172,10 +171,10 @@ impl Priority {
 /// dependencies of later nodes. Only valid within the graph that
 /// returned it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TaskId(usize);
+pub(crate) struct TaskId(usize);
 
-struct TaskNode<'s> {
-    run: Box<dyn Fn() + Send + Sync + 's>,
+struct TaskNode {
+    run: Box<dyn Fn() + Send + Sync>,
     deps: Vec<usize>,
     /// Observability identity, when the caller knows the node's role
     /// ([`crate::obs::spans`] records labelled nodes only).
@@ -183,84 +182,51 @@ struct TaskNode<'s> {
 }
 
 /// A directed acyclic graph of tasks. Nodes are closures over shared
-/// state the caller owns; edges declare data dependencies. Build one
-/// per unit of work (e.g. one pipeline run) and hand it to
-/// [`TaskScheduler::run`] (batch) or inject it into a live [`Core`]
-/// (serving) — the scheduler interleaves nodes across graphs freely.
+/// state they own (typically an `Arc` of one pipeline run); edges
+/// declare data dependencies. Build one per unit of work and inject it
+/// into a live [`Core`] — the scheduler interleaves nodes across
+/// graphs freely.
 #[derive(Default)]
-pub struct TaskGraph<'s> {
-    nodes: Vec<TaskNode<'s>>,
+pub(crate) struct TaskGraph {
+    nodes: Vec<TaskNode>,
 }
 
-impl<'s> TaskGraph<'s> {
+impl TaskGraph {
     /// An empty graph.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TaskGraph::default()
     }
 
     /// Adds a node that runs `run` once every task in `deps` has
     /// completed. Dependencies must be handles from **this** graph
     /// (later nodes may only depend on earlier ones, so graphs are
-    /// acyclic by construction).
-    pub fn add(&mut self, deps: &[TaskId], run: impl Fn() + Send + Sync + 's) -> TaskId {
-        self.add_inner(deps, None, Box::new(run))
-    }
-
-    /// [`TaskGraph::add`] with a span label: when tracing is on, every
-    /// execution of this node records a [`crate::obs::Span`] carrying
-    /// the label's kind/layer/stage. The pipeline planner labels its
-    /// nodes; unlabelled (plain `add`) nodes run untraced.
-    pub(crate) fn add_labeled(
-        &mut self,
-        deps: &[TaskId],
-        label: SpanLabel,
-        run: impl Fn() + Send + Sync + 's,
-    ) -> TaskId {
-        self.add_inner(deps, Some(label), Box::new(run))
-    }
-
-    fn add_inner(
+    /// acyclic by construction). When tracing is on, every execution
+    /// of a node with a `label` records a [`crate::obs::Span`]
+    /// carrying the label's kind/layer/stage; unlabelled nodes run
+    /// untraced.
+    pub(crate) fn add(
         &mut self,
         deps: &[TaskId],
         label: Option<SpanLabel>,
-        run: Box<dyn Fn() + Send + Sync + 's>,
+        run: impl Fn() + Send + Sync + 'static,
     ) -> TaskId {
         for d in deps {
             assert!(d.0 < self.nodes.len(), "dependency from another graph");
         }
         self.nodes.push(TaskNode {
-            run,
+            run: Box::new(run),
             deps: deps.iter().map(|d| d.0).collect(),
             label,
         });
         TaskId(self.nodes.len() - 1)
     }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-}
-
-/// What the scheduler did for one graph.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Task nodes executed (= the graph's node count on completion).
-    pub tasks: u64,
-    /// Tasks a worker stole from another worker's queue.
-    pub stolen: u64,
 }
 
 /// Flattened node of one admitted job.
-struct FlatNode<'s> {
-    run: Box<dyn Fn() + Send + Sync + 's>,
+struct FlatNode {
+    run: Box<dyn Fn() + Send + Sync>,
     dependents: Vec<usize>,
-    /// Observability identity (see [`TaskGraph::add_labeled`]).
+    /// Observability identity (see [`TaskGraph::add`]).
     label: Option<SpanLabel>,
 }
 
@@ -268,7 +234,7 @@ struct FlatNode<'s> {
 /// injection to completion. Task references are `(Arc<JobRun>, node)`
 /// pairs, so every queued task carries its job identity — the epoch
 /// tag that lets graphs come and go while workers stay up.
-pub(crate) struct JobRun<'s> {
+pub(crate) struct JobRun {
     /// Monotone admission id (unique per core).
     pub(crate) id: u64,
     /// The fair-queue weight class the job was admitted at.
@@ -280,13 +246,11 @@ pub(crate) struct JobRun<'s> {
     /// backlogged job's tasks march forward in virtual time at a rate
     /// inverse to its weight.
     finish_tag: AtomicU64,
-    nodes: Vec<FlatNode<'s>>,
+    nodes: Vec<FlatNode>,
     /// Unmet-dependency counters, one per node.
     pending: Vec<AtomicUsize>,
     /// Nodes not yet executed (or skip-drained).
     remaining: AtomicUsize,
-    executed: AtomicU64,
-    stolen: AtomicU64,
     /// Set by the first panicking node; the rest of the job
     /// skip-drains (dependents released, bodies not run).
     panicked: AtomicBool,
@@ -296,7 +260,7 @@ pub(crate) struct JobRun<'s> {
     done_cv: Condvar,
 }
 
-impl JobRun<'_> {
+impl JobRun {
     /// Blocks until every node has executed or skip-drained.
     pub(crate) fn wait_done(&self) {
         let mut done = lock_clean(&self.done);
@@ -314,20 +278,12 @@ impl JobRun<'_> {
     pub(crate) fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
         lock_clean(&self.panic).take()
     }
-
-    /// Scheduling statistics of this job so far.
-    pub(crate) fn stats(&self) -> SchedStats {
-        SchedStats {
-            tasks: self.executed.load(Ordering::SeqCst),
-            stolen: self.stolen.load(Ordering::SeqCst),
-        }
-    }
 }
 
 /// One runnable node, tagged with its job identity and its virtual
 /// finish time in the fair queue.
-struct Task<'s> {
-    job: Arc<JobRun<'s>>,
+struct Task {
+    job: Arc<JobRun>,
     node: usize,
     /// Virtual finish tag: the fair queue pops the lowest tag first,
     /// and executing the task advances the core's virtual time to it.
@@ -337,23 +293,23 @@ struct Task<'s> {
 /// A task in the global fair queue, ordered ascending by
 /// `(tag, seq)` — `seq` is a monotone tiebreak so equal tags stay
 /// FIFO. (`Ord` is inverted because [`BinaryHeap`] is a max-heap.)
-struct QueuedTask<'s> {
+struct QueuedTask {
     seq: u64,
-    task: Task<'s>,
+    task: Task,
 }
 
-impl PartialEq for QueuedTask<'_> {
+impl PartialEq for QueuedTask {
     fn eq(&self, other: &Self) -> bool {
         self.task.tag == other.task.tag && self.seq == other.seq
     }
 }
-impl Eq for QueuedTask<'_> {}
-impl PartialOrd for QueuedTask<'_> {
+impl Eq for QueuedTask {}
+impl PartialOrd for QueuedTask {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for QueuedTask<'_> {
+impl Ord for QueuedTask {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Inverted: the max-heap then yields the minimum (tag, seq).
         other
@@ -366,7 +322,7 @@ impl Ord for QueuedTask<'_> {
 
 /// State every producer and every parking worker agrees on under one
 /// lock: the global fair queue and the wakeup version counter.
-struct CoreState<'s> {
+struct CoreState {
     /// Bumped (under this lock) whenever a task is made visible in
     /// *any* queue — global or a worker's local deque — or the core
     /// shuts down. A worker about to park re-reads it under the same
@@ -381,7 +337,7 @@ struct CoreState<'s> {
     /// so the per-class min-tag mirrors (and with them the stats-path
     /// deficit readout) stay O(1). Roots of newly injected jobs land
     /// here.
-    ready: [BinaryHeap<QueuedTask<'s>>; Priority::LEVELS],
+    ready: [BinaryHeap<QueuedTask>; Priority::LEVELS],
     /// Monotone enqueue counter, the FIFO tiebreak for equal tags.
     seq: u64,
     /// Graceful shutdown: workers exit when they would otherwise park.
@@ -397,18 +353,18 @@ struct AdmissionTickets {
     serving: u64,
 }
 
-/// The scheduler core shared by the batch-scoped [`TaskScheduler`] and
-/// the persistent [`crate::exec::FocusService`]: job-tagged tasks,
-/// dynamic graph injection, weighted-fair ready ordering (see the
-/// module docs), bounded in-flight nodes, and workers that park (not
-/// exit) when idle.
-pub(crate) struct Core<'s> {
-    state: Mutex<CoreState<'s>>,
+/// The scheduler core behind the persistent
+/// [`crate::exec::FocusService`]: job-tagged tasks, dynamic graph
+/// injection, weighted-fair ready ordering (see the module docs),
+/// bounded in-flight nodes, and workers that park (not exit) when
+/// idle.
+pub(crate) struct Core {
+    state: Mutex<CoreState>,
     /// Parked workers wait here; producers notify after bumping
     /// `CoreState::version`.
     work_cv: Condvar,
     /// Per-worker deques: own pops are LIFO (data-hot), steals FIFO.
-    locals: Vec<Mutex<VecDeque<Task<'s>>>>,
+    locals: Vec<Mutex<VecDeque<Task>>>,
     /// Nodes admitted but not yet executed/drained, across all jobs.
     inflight: AtomicUsize,
     /// Admission bound: [`Core::inject`] blocks while the batch would
@@ -451,7 +407,7 @@ pub(crate) struct Core<'s> {
     next_job: AtomicU64,
 }
 
-impl<'s> Core<'s> {
+impl Core {
     /// A core with `threads` worker slots and an in-flight node bound.
     pub(crate) fn new(threads: usize, max_inflight: usize) -> Self {
         let threads = threads.max(1);
@@ -544,7 +500,7 @@ impl<'s> Core<'s> {
     /// `max(virtual_time, job.finish_tag) + quantum`. Lock-free (CAS
     /// on the job's finish tag) so dependent release on the execution
     /// hot path never takes the state lock just to tag.
-    fn next_tag(&self, job: &JobRun<'_>) -> u64 {
+    fn next_tag(&self, job: &JobRun) -> u64 {
         let vt = self.virtual_time.load(Ordering::SeqCst);
         let mut cur = job.finish_tag.load(Ordering::SeqCst);
         loop {
@@ -561,7 +517,7 @@ impl<'s> Core<'s> {
 
     /// Re-publishes the min-tag mirrors of lane `lane` and the global
     /// fast path from the lane heap heads (state lock held).
-    fn refresh_min_tags(&self, st: &CoreState<'s>, lane: usize) {
+    fn refresh_min_tags(&self, st: &CoreState, lane: usize) {
         let lane_min = st.ready[lane].peek().map_or(u64::MAX, |e| e.task.tag);
         self.class_min_tag[lane].store(lane_min, Ordering::SeqCst);
         let global = st
@@ -577,7 +533,7 @@ impl<'s> Core<'s> {
     /// Pushes a task into the global fair queue (state lock held),
     /// keeping the min-tag fast paths and the per-priority depth in
     /// sync.
-    fn push_global(&self, st: &mut CoreState<'s>, task: Task<'s>) {
+    fn push_global(&self, st: &mut CoreState, task: Task) {
         let lane = task.job.priority.index();
         self.queued[lane].fetch_add(1, Ordering::SeqCst);
         let seq = st.seq;
@@ -589,7 +545,7 @@ impl<'s> Core<'s> {
     /// Pops the lowest-`(tag, seq)` task across the lane heaps (state
     /// lock held) — the exact order one merged heap would yield, since
     /// `seq` is globally unique — maintaining the same bookkeeping.
-    fn pop_global(&self, st: &mut CoreState<'s>) -> Option<Task<'s>> {
+    fn pop_global(&self, st: &mut CoreState) -> Option<Task> {
         let mut best: Option<(u64, u64, usize)> = None;
         for (lane, heap) in st.ready.iter().enumerate() {
             if let Some(head) = heap.peek() {
@@ -656,9 +612,9 @@ impl<'s> Core<'s> {
     /// workers are mid-batch — and returns its job handle. Blocks for
     /// admission space (see [`Core::admit`]). An empty graph completes
     /// immediately.
-    pub(crate) fn inject(&self, graph: TaskGraph<'s>, priority: Priority) -> Arc<JobRun<'s>> {
-        let total = graph.len();
-        let mut nodes: Vec<FlatNode<'s>> = Vec::with_capacity(total);
+    pub(crate) fn inject(&self, graph: TaskGraph, priority: Priority) -> Arc<JobRun> {
+        let total = graph.nodes.len();
+        let mut nodes: Vec<FlatNode> = Vec::with_capacity(total);
         let mut pending: Vec<AtomicUsize> = Vec::with_capacity(total);
         let mut edges: Vec<(usize, usize)> = Vec::new();
         for (id, node) in graph.nodes.into_iter().enumerate() {
@@ -681,8 +637,6 @@ impl<'s> Core<'s> {
             nodes,
             pending,
             remaining: AtomicUsize::new(total),
-            executed: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
             panicked: AtomicBool::new(false),
             panic: Mutex::new(None),
             done: Mutex::new(false),
@@ -731,7 +685,7 @@ impl<'s> Core<'s> {
         self.work_cv.notify_all();
     }
 
-    fn pop_local(&self, worker: usize) -> Option<Task<'s>> {
+    fn pop_local(&self, worker: usize) -> Option<Task> {
         lock_clean(&self.locals[worker]).pop_back()
     }
 
@@ -739,7 +693,7 @@ impl<'s> Core<'s> {
     /// when its newest task is at least as due as the global minimum
     /// tag (one atomic load — locality wins whenever fairness permits),
     /// the global fair queue otherwise.
-    fn next_ready(&self, worker: usize) -> Option<Task<'s>> {
+    fn next_ready(&self, worker: usize) -> Option<Task> {
         let global_min = self.global_min_tag.load(Ordering::SeqCst);
         {
             let mut dq = lock_clean(&self.locals[worker]);
@@ -761,24 +715,17 @@ impl<'s> Core<'s> {
     }
 
     /// Steals FIFO from peers' deques (their oldest — and roughly
-    /// lowest-tagged — task), tagging the victim job.
-    fn steal(&self, worker: usize) -> Option<Task<'s>> {
+    /// lowest-tagged — task).
+    fn steal(&self, worker: usize) -> Option<Task> {
         let n = self.locals.len();
-        for i in 1..n {
-            let victim = (worker + i) % n;
-            if let Some(task) = lock_clean(&self.locals[victim]).pop_front() {
-                task.job.stolen.fetch_add(1, Ordering::SeqCst);
-                return Some(task);
-            }
-        }
-        None
+        (1..n).find_map(|i| lock_clean(&self.locals[(worker + i) % n]).pop_front())
     }
 
     /// Runs (or skip-drains) one node, releases its dependents, and
     /// retires it against the job and the admission bound. Service of
     /// any node advances the fair queue's virtual clock to the node's
     /// tag — what ages every still-queued task toward the front.
-    fn exec(&self, worker: usize, task: Task<'s>) {
+    fn exec(&self, worker: usize, task: Task) {
         let Task { job, node, tag } = task;
         self.virtual_time.fetch_max(tag, Ordering::SeqCst);
         self.served[job.priority.index()].fetch_add(1, Ordering::SeqCst);
@@ -809,18 +756,13 @@ impl<'s> Core<'s> {
                     t_end_us: crate::obs::clock::now_micros(),
                 });
             }
-            match outcome {
-                Err(payload) => {
-                    let mut slot = lock_clean(&job.panic);
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                    drop(slot);
-                    job.panicked.store(true, Ordering::SeqCst);
+            if let Err(payload) = outcome {
+                let mut slot = lock_clean(&job.panic);
+                if slot.is_none() {
+                    *slot = Some(payload);
                 }
-                Ok(()) => {
-                    job.executed.fetch_add(1, Ordering::SeqCst);
-                }
+                drop(slot);
+                job.panicked.store(true, Ordering::SeqCst);
             }
         }
 
@@ -906,83 +848,6 @@ impl<'s> Core<'s> {
     }
 }
 
-/// A small work-stealing scheduler for batches of [`TaskGraph`]s.
-///
-/// Each worker keeps a LIFO deque of ready tasks (tasks it unblocked
-/// run next, data-hot) and steals FIFO from its peers when it runs
-/// dry. Task closures are pure in their declared dependencies, so the
-/// (nondeterministic) execution order cannot affect results —
-/// `tests/batch_determinism.rs` proves the end-to-end claim
-/// property-style. This type is the batch-scoped front end of the
-/// shared scheduler [`Core`]; the process-wide, long-lived front end
-/// is [`crate::exec::FocusService`].
-#[derive(Clone, Copy, Debug)]
-pub struct TaskScheduler {
-    threads: usize,
-}
-
-impl Default for TaskScheduler {
-    fn default() -> Self {
-        TaskScheduler::new()
-    }
-}
-
-impl TaskScheduler {
-    /// A scheduler as wide as the rayon pool
-    /// ([`rayon::current_num_threads`], honouring `RAYON_NUM_THREADS`).
-    pub fn new() -> Self {
-        TaskScheduler::with_threads(rayon::current_num_threads())
-    }
-
-    /// A scheduler with an explicit worker count (≥ 1).
-    pub fn with_threads(threads: usize) -> Self {
-        TaskScheduler {
-            threads: threads.max(1),
-        }
-    }
-
-    /// Worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs every graph to completion, interleaving nodes across
-    /// graphs, and returns per-graph statistics (in input order).
-    ///
-    /// A panic in a task closure fails *its* graph (the rest of that
-    /// graph skip-drains; sibling graphs run to completion) and the
-    /// first panic payload — in graph submission order — is re-raised
-    /// on the calling thread, like the rayon shim.
-    pub fn run(&self, graphs: Vec<TaskGraph<'_>>) -> Vec<SchedStats> {
-        let total: usize = graphs.iter().map(TaskGraph::len).sum();
-        if total == 0 {
-            return vec![SchedStats::default(); graphs.len()];
-        }
-        let threads = self.threads.min(total);
-        let core = Core::new(threads, usize::MAX);
-        let jobs: Vec<Arc<JobRun<'_>>> = graphs
-            .into_iter()
-            .map(|g| core.inject(g, Priority::Normal))
-            .collect();
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let core = &core;
-                s.spawn(move || core.worker(w));
-            }
-            for job in &jobs {
-                job.wait_done();
-            }
-            core.shutdown();
-        });
-        for job in &jobs {
-            if let Some(payload) = job.take_panic() {
-                resume_unwind(payload);
-            }
-        }
-        jobs.iter().map(|job| job.stats()).collect()
-    }
-}
-
 /// The `Sec(l)` node's output slot: everything downstream nodes of the
 /// layer read.
 struct LayerInput {
@@ -1003,8 +868,8 @@ struct LayerInput {
 /// One node of a [`PipelineGraph`], identified by role: the unit
 /// [`PipelineGraph::plan`] emits and [`PipelineGraph::run_node`]
 /// dispatches on. Keeping the topology (`plan`) separate from the
-/// bodies lets the borrowed batch path and the owning
-/// [`crate::exec::FocusService`] path wire the same graph.
+/// bodies lets [`crate::exec::node_inventory`] count a run's nodes
+/// without wiring or running them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum NodeKind {
     /// Semantic pruning of one layer (sequential chain).
@@ -1028,7 +893,7 @@ pub(crate) enum NodeKind {
         slot: usize,
     },
     /// Pure statistics fold of the layer's four gathers — parallel
-    /// across layers (ROADMAP (j): off the ordered chain).
+    /// across layers, off the ordered chain.
     FoldStats(usize),
     /// In-order absorption into the measured run (sequential chain).
     Absorb(usize),
@@ -1079,19 +944,19 @@ impl NodeKind {
     }
 }
 
-/// One pipeline run expressed as a task graph: the shared state every
-/// node reads and writes, plus the planner that wires the nodes into a
-/// [`TaskGraph`]. [`crate::exec::BatchRunner`] submits one per
-/// workload into the shared [`crate::exec::FocusService`].
-pub(crate) struct PipelineGraph<'w> {
-    pipeline: &'w FocusPipeline,
-    workload: &'w Workload,
-    arch: &'w ArchConfig,
+/// One pipeline run expressed as a task graph: the inputs it owns, the
+/// shared state every node reads and writes, and the node topology
+/// ([`PipelineGraph::plan`]). [`crate::exec::FocusService`] holds one
+/// per admitted request in an `Arc` shared by the request's node
+/// closures and its handle.
+pub(crate) struct PipelineGraph {
+    /// The run's pipeline configuration, workload and architecture.
+    job: BatchJob,
     /// When present, `Finish` also runs the cycle simulation.
-    engine: Option<&'w Engine>,
+    engine: Option<Arc<Engine>>,
     depth: usize,
     /// Node inventory: stages, workspace ring, measurement predicate.
-    exec: LayerExecutor<'w>,
+    exec: LayerExecutor,
     /// The initial retained set (`0..m_img`), `Sec(0)`'s input.
     initial: Vec<usize>,
     m_img: usize,
@@ -1113,29 +978,17 @@ pub(crate) struct PipelineGraph<'w> {
     temporal: Option<Arc<crate::sic::TemporalCache>>,
 }
 
-impl<'w> PipelineGraph<'w> {
-    /// Prepares the shared state of one run at pipeline depth `depth`
-    /// (≥ 1 in-flight layers of synthesis per gather stage).
-    pub(crate) fn new(
-        pipeline: &'w FocusPipeline,
-        workload: &'w Workload,
-        arch: &'w ArchConfig,
-        depth: usize,
-        engine: Option<&'w Engine>,
-    ) -> Self {
-        PipelineGraph::with_warm(pipeline, workload, arch, depth, engine, None)
-    }
-
-    /// [`PipelineGraph::new`] over session-donated warm state: the
-    /// shared retention plan plus recycled stage scratch and measure
-    /// buffers. Bit-identical to a cold build — warm state is
-    /// allocation/plan reuse only.
+impl PipelineGraph {
+    /// Prepares the shared state of one run of `job` at pipeline depth
+    /// `depth` (≥ 1 in-flight layers of synthesis per gather stage),
+    /// optionally over session-donated warm state: the shared retention
+    /// plan plus recycled stage scratch and measure buffers.
+    /// Bit-identical to a cold build — warm state is allocation/plan
+    /// reuse only.
     pub(crate) fn with_warm(
-        pipeline: &'w FocusPipeline,
-        workload: &'w Workload,
-        arch: &'w ArchConfig,
+        job: BatchJob,
         depth: usize,
-        engine: Option<&'w Engine>,
+        engine: Option<Arc<Engine>>,
         warm: Option<FrameWarm>,
     ) -> Self {
         let depth = depth.max(1);
@@ -1143,16 +996,19 @@ impl<'w> PipelineGraph<'w> {
             Some(warm) => (Some(warm.plan), warm.scratch, warm.measure, warm.temporal),
             None => (None, None, None, None),
         };
-        let exec =
-            LayerExecutor::with_parts(pipeline, workload, ExecMode::Graph { depth }, plan, scratch);
+        let exec = LayerExecutor::with_parts(
+            &job.pipeline,
+            &job.workload,
+            ExecMode::Graph { depth },
+            plan,
+            scratch,
+        );
         let layers_n = exec.layers();
-        let m_img = workload.image_tokens_scaled();
+        let m_img = job.workload.image_tokens_scaled();
         let stages_n = exec.gather_stages().len();
         let accum = MeasureAccum::with_buffers(m_img, layers_n, measure.unwrap_or_default());
         PipelineGraph {
-            pipeline,
-            workload,
-            arch,
+            job,
             engine,
             depth,
             exec,
@@ -1171,7 +1027,9 @@ impl<'w> PipelineGraph<'w> {
 
     /// The run's node topology: `(dependencies, kind)` per node, in
     /// insertion order (a dependency index always precedes its
-    /// dependent, mirroring [`TaskGraph::add`]'s contract).
+    /// dependent, mirroring [`TaskGraph::add`]'s contract). The
+    /// service wires each entry into a node closure over the run's
+    /// `Arc`.
     pub(crate) fn plan(&self) -> Vec<(Vec<usize>, NodeKind)> {
         let layers_n = self.exec.layers();
         let stages_n = self.exec.gather_stages().len();
@@ -1236,17 +1094,6 @@ impl<'w> PipelineGraph<'w> {
         }
     }
 
-    /// Wires this run's nodes into `graph` (the borrowed batch path;
-    /// the service wires the same [`PipelineGraph::plan`] through
-    /// owning closures).
-    pub(crate) fn build<'s>(&'s self, graph: &mut TaskGraph<'s>) {
-        let mut ids: Vec<TaskId> = Vec::new();
-        for (deps, kind) in self.plan() {
-            let deps: Vec<TaskId> = deps.iter().map(|&d| ids[d]).collect();
-            ids.push(graph.add_labeled(&deps, kind.span_label(), move || self.run_node(kind)));
-        }
-    }
-
     /// Per-[`SpanKind`] node counts of this run's plan — what one
     /// traced frame contributes to the span rings, for inventory
     /// assertions (the `trace_run` bin checks recorded spans against
@@ -1271,7 +1118,7 @@ impl<'w> PipelineGraph<'w> {
             &self.input(layer - 1).retained
         };
         let ctx = LayerCtx {
-            workload: self.workload,
+            workload: &self.job.workload,
             layer,
             retained: prev,
             positions: &[],
@@ -1308,7 +1155,7 @@ impl<'w> PipelineGraph<'w> {
     fn ctx(&self, layer: usize) -> LayerCtx<'_> {
         let input = self.input(layer);
         LayerCtx {
-            workload: self.workload,
+            workload: &self.job.workload,
             layer,
             retained: &input.retained,
             positions: &input.positions,
@@ -1329,7 +1176,7 @@ impl<'w> PipelineGraph<'w> {
         // stable ones. INT8 stages therefore never carry.
         let gather = &self.exec.gather_stages()[stage];
         let stats = match &self.temporal {
-            Some(cache) if self.pipeline.dtype != DataType::Int8 => {
+            Some(cache) if self.job.pipeline.dtype != DataType::Int8 => {
                 gather.gather_temporal(&self.ctx(layer), &mut lock_clean(ws), cache, stage)
             }
             _ => gather.gather(&self.ctx(layer), &mut lock_clean(ws)),
@@ -1338,11 +1185,11 @@ impl<'w> PipelineGraph<'w> {
         *lock_clean(&self.gathered[layer * stages_n + stage]) = Some(stats);
     }
 
-    /// The pure half of the old `Fold` node: reduces the four gathers'
+    /// The pure half of a layer's fold: reduces the four gathers'
     /// statistics into the layer's [`LayerRecord`]. No cross-layer
-    /// state — layers fold concurrently, off the ordered chain
-    /// (ROADMAP (j)), in the same fixed stage order as every other
-    /// schedule, so the arithmetic is bit-identical.
+    /// state — layers fold concurrently, off the ordered chain, in the
+    /// same fixed stage order as every other schedule, so the
+    /// arithmetic is bit-identical.
     fn fold_stats_task(&self, layer: usize) {
         let input = self.input(layer);
         let mut record = LayerRecord::empty(input.retained_in, true, input.sec.clone());
@@ -1360,8 +1207,8 @@ impl<'w> PipelineGraph<'w> {
 
     /// The order-sensitive half: absorbs the layer's record into the
     /// accumulator. Chained on `Absorb(l-1)` — the only sequential
-    /// work left per layer is this cheap accumulation, so the critical
-    /// path no longer carries the statistics reduction.
+    /// work per layer is this cheap accumulation, so the critical path
+    /// does not carry the statistics reduction.
     fn absorb_task(&self, layer: usize) {
         let input = self.input(layer);
         let record = if input.measured {
@@ -1390,9 +1237,10 @@ impl<'w> PipelineGraph<'w> {
                 (layer > 0).then(|| layer_stats[layer - 1].clone()),
             )
         };
-        let lowered = self.pipeline.lower_layer(
-            self.workload,
-            self.arch,
+        let job = &self.job;
+        let lowered = job.pipeline.lower_layer(
+            &job.workload,
+            &job.arch,
             self.m_img,
             layer,
             &stats,
@@ -1403,23 +1251,27 @@ impl<'w> PipelineGraph<'w> {
 
     fn finish_task(&self) {
         let accum = lock_clean(&self.accum).take().expect("finish runs once");
-        let (run, buffers) = accum.finish_recycling(self.workload);
+        let job = &self.job;
+        let (run, buffers) = accum.finish_recycling(&job.workload);
         *lock_clean(&self.recycled) = Some(buffers);
         let per_layer: Vec<LayerLowered> = self
             .lowered
             .iter()
             .map(|slot| lock_clean(slot).take().expect("lower node ran"))
             .collect();
-        let result = self
+        let result = job
             .pipeline
-            .assemble(self.workload, self.arch, run, per_layer);
-        let report = self.engine.map(|engine| engine.run(&result.work_items));
+            .assemble(&job.workload, &job.arch, run, per_layer);
+        let report = self
+            .engine
+            .as_ref()
+            .map(|engine| engine.run(&result.work_items));
         *lock_clean(&self.result) = Some((result, report));
     }
 
     /// Extracts the run's result without consuming the state (the
-    /// service path holds the state in an `Arc`): the assembled result
-    /// and the cycle report if an engine was attached.
+    /// service holds the state in an `Arc`): the assembled result and
+    /// the cycle report if an engine was attached.
     pub(crate) fn take_result(&self) -> (PipelineResult, Option<SimReport>) {
         lock_clean(&self.result)
             .take()
@@ -1445,25 +1297,60 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
+    /// A counter shared between a test and its node closures.
+    fn counter() -> Arc<AtomicU32> {
+        Arc::new(AtomicU32::new(0))
+    }
+
+    /// A chain of `len` unlabelled nodes, each bumping `ran`.
+    fn counting_chain(len: usize, ran: &Arc<AtomicU32>) -> TaskGraph {
+        let mut g = TaskGraph::new();
+        let mut prev: Option<TaskId> = None;
+        for _ in 0..len {
+            let deps: Vec<TaskId> = prev.into_iter().collect();
+            let ran = Arc::clone(ran);
+            prev = Some(g.add(&deps, None, move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            }));
+        }
+        g
+    }
+
+    /// Runs `body` while `core`'s workers serve, then shuts the core
+    /// down and joins them — also when `body` panics, so a failed
+    /// assertion fails the test instead of hanging it.
+    fn with_workers<R>(core: &Core, body: impl FnOnce() -> R) -> R {
+        struct Shutdown<'a>(&'a Core);
+        impl Drop for Shutdown<'_> {
+            fn drop(&mut self) {
+                self.0.shutdown();
+            }
+        }
+        std::thread::scope(|s| {
+            for w in 0..core.threads() {
+                s.spawn(move || core.worker(w));
+            }
+            let _shutdown = Shutdown(core);
+            body()
+        })
+    }
+
     #[test]
     fn scheduler_respects_dependencies() {
-        // A diamond per graph: root fans out to two middles joined by a
-        // sink that checks both ran.
-        let order = Mutex::new(Vec::<u32>::new());
+        // A diamond: root fans out to two middles joined by a sink.
+        let order = Arc::new(Mutex::new(Vec::<u32>::new()));
+        let push = |v: u32| {
+            let order = Arc::clone(&order);
+            move || order.lock().unwrap().push(v)
+        };
         let mut graph = TaskGraph::new();
-        let root = graph.add(&[], || order.lock().unwrap().push(0));
-        let a = graph.add(&[root], || order.lock().unwrap().push(1));
-        let b = graph.add(&[root], || order.lock().unwrap().push(2));
-        graph.add(&[a, b], || order.lock().unwrap().push(3));
-        let stats = TaskScheduler::with_threads(4).run(vec![graph]);
-        assert_eq!(
-            stats,
-            vec![SchedStats {
-                tasks: 4,
-                stolen: stats[0].stolen,
-            }]
-        );
-        let order = order.into_inner().unwrap();
+        let root = graph.add(&[], None, push(0));
+        let a = graph.add(&[root], None, push(1));
+        let b = graph.add(&[root], None, push(2));
+        graph.add(&[a, b], None, push(3));
+        let core = Core::new(4, usize::MAX);
+        with_workers(&core, || core.inject(graph, Priority::Normal).wait_done());
+        let order = order.lock().unwrap();
         assert_eq!(order.len(), 4);
         assert_eq!(order[0], 0);
         assert_eq!(order[3], 3);
@@ -1471,98 +1358,88 @@ mod tests {
 
     #[test]
     fn scheduler_interleaves_many_graphs() {
-        let counter = AtomicU32::new(0);
-        let graphs: Vec<TaskGraph<'_>> = (0..5)
-            .map(|_| {
-                let mut g = TaskGraph::new();
-                let mut prev = None;
-                for _ in 0..10 {
-                    let deps: Vec<TaskId> = prev.into_iter().collect();
-                    prev = Some(g.add(&deps, || {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    }));
-                }
-                g
-            })
-            .collect();
-        let stats = TaskScheduler::with_threads(3).run(graphs);
-        assert_eq!(counter.load(Ordering::Relaxed), 50);
-        assert!(stats.iter().all(|s| s.tasks == 10));
+        let ran = counter();
+        let core = Core::new(3, usize::MAX);
+        with_workers(&core, || {
+            let jobs: Vec<_> = (0..5)
+                .map(|_| core.inject(counting_chain(10, &ran), Priority::Normal))
+                .collect();
+            for job in &jobs {
+                job.wait_done();
+            }
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 50);
+        assert_eq!(core.jobs_done(), 5);
     }
 
-    #[test]
-    fn empty_batch_is_fine() {
-        assert!(TaskScheduler::new().run(Vec::new()).is_empty());
-    }
-
+    /// A panicking node fails its graph without deadlocking it: the
+    /// node's sibling chain skip-drains, the job completes, and its
+    /// waiter re-raises the original payload (as `JobHandle::wait`
+    /// does).
     #[test]
     #[should_panic(expected = "task boom")]
     fn task_panics_propagate() {
+        let sibling_ran = counter();
         let mut graph = TaskGraph::new();
-        let root = graph.add(&[], || {});
-        graph.add(&[root], || panic!("task boom"));
-        // A sibling chain that must not deadlock while the panic
-        // skip-drains the graph.
+        let root = graph.add(&[], None, || {});
+        graph.add(&[root], None, || panic!("task boom"));
         let mut prev = root;
         for _ in 0..4 {
-            prev = graph.add(&[prev], || {});
+            let ran = Arc::clone(&sibling_ran);
+            prev = graph.add(&[prev], None, move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
         }
-        TaskScheduler::with_threads(2).run(vec![graph]);
+        let core = Core::new(2, usize::MAX);
+        let job = with_workers(&core, || {
+            let job = core.inject(graph, Priority::Normal);
+            job.wait_done();
+            job
+        });
+        assert!(sibling_ran.load(Ordering::SeqCst) <= 4);
+        assert_eq!(core.inflight(), 0, "every node retired");
+        std::panic::resume_unwind(job.take_panic().expect("the graph panicked"));
     }
 
     /// A panicking job must not take sibling jobs down with it: the
     /// failed graph skip-drains (its waiter gets the payload), while
-    /// the other graph executes every node. The pre-service scheduler
-    /// aborted the whole batch on any panic.
+    /// the other graph executes every node.
     #[test]
     fn sibling_job_completes_when_another_panics() {
-        let healthy_ran = AtomicU32::new(0);
+        let sick_ran = counter();
+        let healthy_ran = counter();
         let core = Core::new(2, usize::MAX);
 
         let mut sick = TaskGraph::new();
-        let root = sick.add(&[], || {});
-        let boom = sick.add(&[root], || panic!("sick job"));
-        sick.add(&[boom], || unreachable!("runs after the panic"));
+        let ran = Arc::clone(&sick_ran);
+        let root = sick.add(&[], None, move || {
+            ran.fetch_add(1, Ordering::SeqCst);
+        });
+        let boom = sick.add(&[root], None, || panic!("sick job"));
+        sick.add(&[boom], None, || unreachable!("runs after the panic"));
 
-        let mut healthy = TaskGraph::new();
-        let mut prev: Option<TaskId> = None;
-        for _ in 0..20 {
-            let deps: Vec<TaskId> = prev.into_iter().collect();
-            prev = Some(healthy.add(&deps, || {
-                healthy_ran.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-
-        std::thread::scope(|s| {
-            for w in 0..2 {
-                let core = &core;
-                s.spawn(move || core.worker(w));
-            }
+        with_workers(&core, || {
             let sick_job = core.inject(sick, Priority::High);
-            let healthy_job = core.inject(healthy, Priority::Low);
+            let healthy_job = core.inject(counting_chain(20, &healthy_ran), Priority::Low);
             sick_job.wait_done();
             healthy_job.wait_done();
             // The sick job carries its own payload; the healthy one
             // carries none and executed everything.
             let payload = sick_job.take_panic().expect("sick job panicked");
             assert_eq!(*payload.downcast_ref::<&str>().unwrap(), "sick job");
-            assert_eq!(sick_job.stats().tasks, 1, "only the root ran");
             assert!(healthy_job.take_panic().is_none());
-            assert_eq!(healthy_job.stats().tasks, 20);
-            core.shutdown();
         });
+        assert_eq!(sick_ran.load(Ordering::SeqCst), 1, "only the root ran");
         assert_eq!(healthy_ran.load(Ordering::SeqCst), 20);
     }
 
-    /// Regression (poisoned-lock satellite): internal scheduler
-    /// mutexes poisoned by a panicking holder must not surface as an
-    /// opaque `PoisonError` unwrap — work keeps flowing through the
-    /// poisoned queues and a task panic still re-raises the *original*
-    /// payload. The pre-fix scheduler `unwrap()`ed every lock and blew
-    /// up on first contact with a poisoned deque.
+    /// Internal scheduler mutexes poisoned by a panicking holder must
+    /// not surface as an opaque `PoisonError` unwrap — work keeps
+    /// flowing through the poisoned queues and a task panic still
+    /// re-raises the *original* payload.
     #[test]
     fn poisoned_queue_mutexes_do_not_mask_the_panic_payload() {
-        let ran = AtomicU32::new(0);
+        let ran = counter();
         let core = Core::new(2, usize::MAX);
         // Poison a worker deque and the state mutex the way a panicking
         // holder would.
@@ -1582,72 +1459,45 @@ mod tests {
         assert!(core.state.lock().is_err(), "state must be poisoned");
 
         // A healthy graph still runs to completion through the
-        // poisoned locks…
-        let mut graph = TaskGraph::new();
-        let mut prev: Option<TaskId> = None;
-        for _ in 0..8 {
-            let deps: Vec<TaskId> = prev.into_iter().collect();
-            prev = Some(graph.add(&deps, || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        // …and a panicking graph re-raises its own payload, not the
-        // poison.
+        // poisoned locks, and a panicking graph re-raises its own
+        // payload, not the poison.
         let mut sick = TaskGraph::new();
-        sick.add(&[], || panic!("genuine payload"));
+        sick.add(&[], None, || panic!("genuine payload"));
 
-        std::thread::scope(|s| {
-            for w in 0..2 {
-                let core = &core;
-                s.spawn(move || core.worker(w));
-            }
-            let healthy = core.inject(graph, Priority::Normal);
+        with_workers(&core, || {
+            let healthy = core.inject(counting_chain(8, &ran), Priority::Normal);
             let sick = core.inject(sick, Priority::Normal);
             healthy.wait_done();
             sick.wait_done();
-            assert_eq!(healthy.stats().tasks, 8);
+            assert!(healthy.take_panic().is_none());
             let payload = sick.take_panic().expect("sick graph panicked");
             assert_eq!(*payload.downcast_ref::<&str>().unwrap(), "genuine payload");
-            core.shutdown();
         });
         assert_eq!(ran.load(Ordering::SeqCst), 8);
     }
 
-    /// Regression (lost-wakeup satellite): hammer concurrent injection
-    /// against parking workers at every worker count. A task enqueued
-    /// between a worker's queue scan and its condvar wait must wake it
-    /// — under the old two-phase version read a stalled wakeup showed
-    /// up here as a hang (the job never completed until an unrelated
-    /// submission happened to bump the version).
+    /// Hammer concurrent injection against parking workers at every
+    /// worker count. A task enqueued between a worker's queue scan and
+    /// its condvar wait must wake it; a lost wakeup shows up here as a
+    /// hang (the job never completes until an unrelated submission
+    /// happens to bump the version).
     #[test]
     fn submit_vs_park_stress() {
         for threads in 1..=4 {
-            let executed = AtomicU32::new(0);
+            let executed = counter();
             let core = Core::new(threads, usize::MAX);
             const SUBMITTERS: usize = 4;
             const JOBS_EACH: usize = 32;
-            std::thread::scope(|s| {
-                for w in 0..threads {
-                    let core = &core;
-                    s.spawn(move || core.worker(w));
-                }
-                let handles: Vec<_> = (0..SUBMITTERS)
-                    .map(|i| {
-                        let core = &core;
-                        let executed = &executed;
+            with_workers(&core, || {
+                std::thread::scope(|s| {
+                    for i in 0..SUBMITTERS {
+                        let (core, executed) = (&core, &executed);
                         s.spawn(move || {
                             let mut jobs = Vec::new();
                             for j in 0..JOBS_EACH {
                                 // Tiny graphs (1–3 chained nodes) so the
                                 // workers park between most injections.
-                                let mut g = TaskGraph::new();
-                                let mut prev: Option<TaskId> = None;
-                                for _ in 0..(1 + (i + j) % 3) {
-                                    let deps: Vec<TaskId> = prev.into_iter().collect();
-                                    prev = Some(g.add(&deps, || {
-                                        executed.fetch_add(1, Ordering::SeqCst);
-                                    }));
-                                }
+                                let g = counting_chain(1 + (i + j) % 3, executed);
                                 let priority = Priority::ALL[(i + j) % Priority::LEVELS];
                                 jobs.push(core.inject(g, priority));
                                 if j % 8 == 0 {
@@ -1660,18 +1510,19 @@ mod tests {
                             for job in &jobs {
                                 job.wait_done();
                             }
-                            jobs.iter().map(|j| j.stats().tasks).sum::<u64>()
-                        })
-                    })
-                    .collect();
-                let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-                let expect: u64 = (0..SUBMITTERS)
-                    .flat_map(|i| (0..JOBS_EACH).map(move |j| (1 + (i + j) % 3) as u64))
-                    .sum();
-                assert_eq!(total, expect, "{threads} workers");
-                assert_eq!(executed.load(Ordering::SeqCst) as u64, expect);
-                core.shutdown();
+                        });
+                    }
+                });
             });
+            let expect: u64 = (0..SUBMITTERS)
+                .flat_map(|i| (0..JOBS_EACH).map(move |j| (1 + (i + j) % 3) as u64))
+                .sum();
+            assert_eq!(
+                executed.load(Ordering::SeqCst) as u64,
+                expect,
+                "{threads} workers"
+            );
+            assert_eq!(core.jobs_done(), (SUBMITTERS * JOBS_EACH) as u64);
         }
     }
 
@@ -1681,15 +1532,11 @@ mod tests {
     /// executes (nobody exited).
     #[test]
     fn idle_workers_park_and_resume() {
-        let ran = AtomicU32::new(0);
+        let ran = counter();
         let core = Core::new(3, usize::MAX);
-        std::thread::scope(|s| {
-            for w in 0..3 {
-                let core = &core;
-                s.spawn(move || core.worker(w));
-            }
+        with_workers(&core, || {
             let mut g = TaskGraph::new();
-            g.add(&[], || {});
+            g.add(&[], None, || {});
             core.inject(g, Priority::Normal).wait_done();
 
             // Quiesce: all three workers must end up parked.
@@ -1709,13 +1556,9 @@ mod tests {
             assert_eq!(core.parks(), parks, "parked workers must not spin");
 
             // And parked ≠ exited: new work still runs.
-            let mut g = TaskGraph::new();
-            g.add(&[], || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            });
-            core.inject(g, Priority::High).wait_done();
+            core.inject(counting_chain(1, &ran), Priority::High)
+                .wait_done();
             assert_eq!(ran.load(Ordering::SeqCst), 1);
-            core.shutdown();
         });
     }
 
@@ -1725,17 +1568,16 @@ mod tests {
     /// low-priority chain drains.
     #[test]
     fn high_priority_jumps_ahead_of_a_running_request() {
-        use std::sync::atomic::AtomicBool;
-        let seq = Mutex::new(Vec::<&'static str>::new());
-        let gate = AtomicBool::new(false);
+        let seq = Arc::new(Mutex::new(Vec::<&'static str>::new()));
+        let gate = Arc::new(AtomicBool::new(false));
         let core = Core::new(1, usize::MAX);
 
         let mut low = TaskGraph::new();
         let mut prev: Option<TaskId> = None;
         for i in 0..10 {
             let deps: Vec<TaskId> = prev.into_iter().collect();
-            let (seq, gate) = (&seq, &gate);
-            prev = Some(low.add(&deps, move || {
+            let (seq, gate) = (Arc::clone(&seq), Arc::clone(&gate));
+            prev = Some(low.add(&deps, None, move || {
                 if i == 0 {
                     // Hold the worker inside the first node until the
                     // high-priority job has been injected.
@@ -1747,17 +1589,15 @@ mod tests {
             }));
         }
         let mut high = TaskGraph::new();
-        high.add(&[], || seq.lock().unwrap().push("HIGH"));
+        let high_seq = Arc::clone(&seq);
+        high.add(&[], None, move || high_seq.lock().unwrap().push("HIGH"));
 
-        std::thread::scope(|s| {
-            let core = &core;
-            s.spawn(move || core.worker(0));
+        with_workers(&core, || {
             let low_job = core.inject(low, Priority::Low);
             let high_job = core.inject(high, Priority::High);
             gate.store(true, Ordering::SeqCst);
             high_job.wait_done();
             low_job.wait_done();
-            core.shutdown();
         });
         let seq = seq.lock().unwrap().clone();
         let pos = seq.iter().position(|s| *s == "HIGH").unwrap();
@@ -1771,95 +1611,93 @@ mod tests {
     /// flood of High jobs (a producer keeps the global queue stocked
     /// for as long as the Low job lives), a Low job still completes,
     /// and the number of High nodes served while it waited stays
-    /// within the weight-ratio aging bound. Under the old strict-
-    /// priority lanes the Low job ran only after the *entire* flood
-    /// drained — the High-node count here was the whole flood.
+    /// within the weight-ratio aging bound. Strict-priority lanes
+    /// would run the Low job only after the *entire* flood drained.
     #[test]
     fn low_job_ages_past_a_saturating_high_flood() {
-        use std::sync::atomic::AtomicBool;
         let low_nodes = 6u64;
-        let high_done = AtomicU32::new(0);
+        let high_done = counter();
+        let low_ran = counter();
         // High nodes served when the Low job's last node runs, read by
         // the worker itself: the waiter's own wake-up latency (long on
         // a loaded machine, while the flood keeps being served) must
         // not count as time the Low job waited.
-        let high_at_low_end = AtomicU32::new(0);
+        let high_at_low_end = counter();
         let low_done = AtomicBool::new(false);
         let core = Core::new(1, usize::MAX);
-        std::thread::scope(|s| {
-            let core = &core;
-            s.spawn(move || core.worker(0));
-
-            // Prime the flood before the Low job arrives, then keep it
-            // saturated: never fewer than 4 High jobs queued until the
-            // Low job finishes (bounded at 600 so a starvation bug
-            // fails the assertion instead of hanging the suite).
-            let producer = s.spawn(|| {
-                let mut injected = 0u64;
-                let mut handles = Vec::new();
-                while !low_done.load(Ordering::SeqCst) && injected < 600 {
-                    // Keep 4–8 High jobs outstanding (jobs_done also
-                    // counts the Low job once it lands — harmless).
-                    while injected.saturating_sub(core.jobs_done()) > 8 {
-                        if low_done.load(Ordering::SeqCst) {
-                            break;
+        let high_during = with_workers(&core, || {
+            std::thread::scope(|s| {
+                // Prime the flood before the Low job arrives, then keep
+                // it saturated: never fewer than 4 High jobs queued
+                // until the Low job finishes (bounded at 600 so a
+                // starvation bug fails the assertion instead of hanging
+                // the suite).
+                let producer = s.spawn(|| {
+                    let mut injected = 0u64;
+                    let mut handles = Vec::new();
+                    while !low_done.load(Ordering::SeqCst) && injected < 600 {
+                        // Keep 4–8 High jobs outstanding (jobs_done also
+                        // counts the Low job once it lands — harmless).
+                        while injected.saturating_sub(core.jobs_done()) > 8 {
+                            if low_done.load(Ordering::SeqCst) {
+                                break;
+                            }
+                            std::thread::yield_now();
                         }
-                        std::thread::yield_now();
+                        let mut g = TaskGraph::new();
+                        let a = g.add(&[], None, || {});
+                        let served = Arc::clone(&high_done);
+                        g.add(&[a], None, move || {
+                            served.fetch_add(1, Ordering::SeqCst);
+                        });
+                        handles.push(core.inject(g, Priority::High));
+                        injected += 1;
                     }
-                    let mut g = TaskGraph::new();
-                    let a = g.add(&[], || {});
-                    g.add(&[a], || {
-                        high_done.fetch_add(1, Ordering::SeqCst);
-                    });
-                    handles.push(core.inject(g, Priority::High));
-                    injected += 1;
-                }
-                handles
-            });
+                    handles
+                });
 
-            // Let the flood establish itself, then submit the Low job.
-            while core.jobs_done() < 8 {
-                std::thread::yield_now();
-            }
-            let mut low = TaskGraph::new();
-            let mut prev: Option<TaskId> = None;
-            let (served, at_end) = (&high_done, &high_at_low_end);
-            for i in 0..low_nodes {
-                let deps: Vec<TaskId> = prev.into_iter().collect();
-                let last = i + 1 == low_nodes;
-                prev = Some(low.add(&deps, move || {
-                    if last {
-                        at_end.store(served.load(Ordering::SeqCst), Ordering::SeqCst);
-                    }
-                }));
-            }
-            let high_before = high_done.load(Ordering::SeqCst) as u64;
-            let low_job = core.inject(low, Priority::Low);
-            low_job.wait_done();
-            let high_during = high_at_low_end.load(Ordering::SeqCst) as u64 - high_before;
-            low_done.store(true, Ordering::SeqCst);
-            let handles = producer.join().unwrap();
-            for h in &handles {
-                h.wait_done();
-            }
-            // Release the worker before asserting: a failed bound must
-            // fail the test, not leave the scope joining a parked
-            // worker forever.
-            core.shutdown();
-            assert_eq!(low_job.stats().tasks, low_nodes);
-            // Aging bound: each Low node (quantum 4) lets roughly
-            // weight-ratio High nodes (quantum 1) pass, plus the
-            // already-admitted backlog. Generous 4x slack keeps the
-            // bound scheduling-jitter-proof while still catching
-            // strict-priority starvation (which serves the full
-            // 600-job flood first).
-            let ratio = Priority::Low.quantum() / Priority::High.quantum();
-            let bound = 4 * (ratio * (low_nodes + 2) + 16);
-            assert!(
-                high_during <= bound,
-                "Low job waited through {high_during} High nodes (bound {bound})"
-            );
+                // Let the flood establish itself, then submit the Low job.
+                while core.jobs_done() < 8 {
+                    std::thread::yield_now();
+                }
+                let mut low = TaskGraph::new();
+                let mut prev: Option<TaskId> = None;
+                for i in 0..low_nodes {
+                    let deps: Vec<TaskId> = prev.into_iter().collect();
+                    let last = i + 1 == low_nodes;
+                    let (served, at_end, ran) = (
+                        Arc::clone(&high_done),
+                        Arc::clone(&high_at_low_end),
+                        Arc::clone(&low_ran),
+                    );
+                    prev = Some(low.add(&deps, None, move || {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                        if last {
+                            at_end.store(served.load(Ordering::SeqCst), Ordering::SeqCst);
+                        }
+                    }));
+                }
+                let high_before = high_done.load(Ordering::SeqCst) as u64;
+                core.inject(low, Priority::Low).wait_done();
+                low_done.store(true, Ordering::SeqCst);
+                for h in producer.join().unwrap() {
+                    h.wait_done();
+                }
+                high_at_low_end.load(Ordering::SeqCst) as u64 - high_before
+            })
         });
+        assert_eq!(low_ran.load(Ordering::SeqCst) as u64, low_nodes);
+        // Aging bound: each Low node (quantum 4) lets roughly
+        // weight-ratio High nodes (quantum 1) pass, plus the
+        // already-admitted backlog. Generous 4x slack keeps the bound
+        // scheduling-jitter-proof while still catching strict-priority
+        // starvation (which serves the full 600-job flood first).
+        let ratio = Priority::Low.quantum() / Priority::High.quantum();
+        let bound = 4 * (ratio * (low_nodes + 2) + 16);
+        assert!(
+            high_during <= bound,
+            "Low job waited through {high_during} High nodes (bound {bound})"
+        );
     }
 
     /// The in-flight node bound is live: submissions past the bound
@@ -1867,46 +1705,25 @@ mod tests {
     /// when the core is idle, and everything completes.
     #[test]
     fn admission_control_bounds_inflight_nodes() {
-        let executed = AtomicU32::new(0);
+        let executed = counter();
         let core = Core::new(2, 4);
         assert_eq!(core.max_inflight(), 4);
-        std::thread::scope(|s| {
-            for w in 0..2 {
-                let core = &core;
-                s.spawn(move || core.worker(w));
-            }
+        with_workers(&core, || {
             // An oversized job (6 nodes > bound 4) admits while idle.
-            let mut big = TaskGraph::new();
-            let mut prev: Option<TaskId> = None;
-            for _ in 0..6 {
-                let deps: Vec<TaskId> = prev.into_iter().collect();
-                prev = Some(big.add(&deps, || {
-                    executed.fetch_add(1, Ordering::SeqCst);
-                }));
-            }
-            core.inject(big, Priority::Normal).wait_done();
+            core.inject(counting_chain(6, &executed), Priority::Normal)
+                .wait_done();
             assert_eq!(executed.load(Ordering::SeqCst), 6);
 
             // A burst of small jobs flows through the bound with
             // backpressure; everything still completes.
             let jobs: Vec<_> = (0..16)
-                .map(|_| {
-                    let mut g = TaskGraph::new();
-                    let a = g.add(&[], || {
-                        executed.fetch_add(1, Ordering::SeqCst);
-                    });
-                    g.add(&[a], || {
-                        executed.fetch_add(1, Ordering::SeqCst);
-                    });
-                    core.inject(g, Priority::Normal)
-                })
+                .map(|_| core.inject(counting_chain(2, &executed), Priority::Normal))
                 .collect();
             for job in &jobs {
                 job.wait_done();
             }
             assert_eq!(executed.load(Ordering::SeqCst), 6 + 32);
             assert_eq!(core.inflight(), 0, "all admissions retired");
-            core.shutdown();
         });
     }
 
@@ -1916,55 +1733,61 @@ mod tests {
     /// starving it. The test terminates only if the big job admits.
     #[test]
     fn oversized_admission_is_not_starved_by_small_jobs() {
-        let executed = AtomicU32::new(0);
+        let executed = counter();
+        let big_ran = counter();
         let core = Core::new(2, 4);
-        let chain = |len: usize| {
+        let chain = |len: usize, ran: &Arc<AtomicU32>| {
             let mut g = TaskGraph::new();
             let mut prev: Option<TaskId> = None;
             for _ in 0..len {
                 let deps: Vec<TaskId> = prev.into_iter().collect();
-                let executed = &executed;
-                prev = Some(g.add(&deps, move || {
+                let (executed, ran) = (Arc::clone(&executed), Arc::clone(ran));
+                prev = Some(g.add(&deps, None, move || {
                     executed.fetch_add(1, Ordering::SeqCst);
+                    ran.fetch_add(1, Ordering::SeqCst);
                     std::thread::yield_now();
                 }));
             }
             g
         };
-        std::thread::scope(|s| {
-            for w in 0..2 {
-                let core = &core;
-                s.spawn(move || core.worker(w));
-            }
-            // Occupy the core, then race an oversized submission (8 >
-            // bound 4, admits only at inflight == 0) against a stream
-            // of small ones submitted after it took its ticket.
-            let head = core.inject(chain(3), Priority::Normal);
-            let big = s.spawn(|| {
-                let big = core.inject(chain(8), Priority::Normal);
-                big.wait_done();
-                big.stats().tasks
-            });
-            // Give the big submission time to take its admission
-            // ticket before the small stream arrives behind it (bounded
-            // spin: if the core drained first, big admitted already and
-            // the stream is simply ordinary traffic).
-            for _ in 0..10_000 {
-                if core.admission_waiters.load(Ordering::SeqCst) > 0 {
-                    break;
+        let small = counter();
+        with_workers(&core, || {
+            std::thread::scope(|s| {
+                // Occupy the core, then race an oversized submission (8
+                // > bound 4, admits only at inflight == 0) against a
+                // stream of small ones submitted after it took its
+                // ticket.
+                let head = core.inject(chain(3, &small), Priority::Normal);
+                let big = s.spawn(|| {
+                    core.inject(chain(8, &big_ran), Priority::Normal)
+                        .wait_done()
+                });
+                // Give the big submission time to take its admission
+                // ticket before the small stream arrives behind it
+                // (bounded spin: if the core drained first, big
+                // admitted already and the stream is simply ordinary
+                // traffic).
+                for _ in 0..10_000 {
+                    if core.admission_waiters.load(Ordering::SeqCst) > 0 {
+                        break;
+                    }
+                    std::thread::yield_now();
                 }
-                std::thread::yield_now();
-            }
-            let trailing: Vec<_> = (0..6)
-                .map(|_| core.inject(chain(2), Priority::Normal))
-                .collect();
-            assert_eq!(big.join().unwrap(), 8, "the oversized job completed");
-            head.wait_done();
-            for job in &trailing {
-                job.wait_done();
-            }
-            assert_eq!(executed.load(Ordering::SeqCst), 3 + 8 + 12);
-            core.shutdown();
+                let trailing: Vec<_> = (0..6)
+                    .map(|_| core.inject(chain(2, &small), Priority::Normal))
+                    .collect();
+                big.join().unwrap();
+                head.wait_done();
+                for job in &trailing {
+                    job.wait_done();
+                }
+            });
         });
+        assert_eq!(
+            big_ran.load(Ordering::SeqCst),
+            8,
+            "the oversized job completed"
+        );
+        assert_eq!(executed.load(Ordering::SeqCst), 3 + 8 + 12);
     }
 }

@@ -17,22 +17,22 @@
 //!   four gather stages, their workspace ring, the measurement plan)
 //!   and the layer loop of [`ExecMode::Serial`], the independent
 //!   oracle schedule every other path is checked against;
-//! * [`TaskGraph`] / [`TaskScheduler`] ([`graph`] module) — the
-//!   schedule behind [`ExecMode::Graph`], the default: each layer
-//!   decomposes into `Sec`/`Synth`/`Gather`/`Fold`/`Lower` task nodes
-//!   with explicit dependencies, and a work-stealing scheduler
-//!   overlaps layer *l*'s fold/lowering with layer *l+1*'s synthesis
-//!   and SEC at any pipeline depth — as the hardware streams SEC of
-//!   layer *l+1* alongside the FC gathers of layer *l*, and across
-//!   workload boundaries when batched;
+//! * the [`graph`] module — the schedule behind [`ExecMode::Graph`],
+//!   the default: each run is a pipeline graph that owns its inputs,
+//!   each layer decomposes into `Sec`/`Synth`/`Gather`/`Fold`/`Lower`
+//!   task nodes with explicit dependencies, and a work-stealing
+//!   scheduler overlaps layer *l*'s fold/lowering with layer *l+1*'s
+//!   synthesis and SEC at any pipeline depth — as the hardware streams
+//!   SEC of layer *l+1* alongside the FC gathers of layer *l*, and
+//!   across workload boundaries when batched;
 //! * [`BatchRunner`] — fans whole `FocusPipeline::run` calls out
 //!   across cores (`run_many` for workload grids, `run_jobs` for
 //!   config sweeps, and the `_sim` variants that carry cycle
 //!   simulation through the parallel region); under graph mode it
 //!   instead submits every workload into the shared service, with
 //!   results still bit-identical to the serial loop;
-//! * [`FocusService`] (`service` module) — the persistent serving
-//!   front end: a process-wide worker pool that outlives any batch,
+//! * [`FocusService`] (`service` module) — the scheduler's one front
+//!   end: a persistent worker pool that outlives any batch,
 //!   accepting jobs as they arrive (`submit(job) → JobHandle`) with
 //!   per-request [`Priority`] (a *weight* in the scheduler's fair
 //!   queue — no class can starve another), bounded in-flight nodes
@@ -60,7 +60,7 @@ pub(crate) use graph::PipelineGraph;
 
 pub use batch::{par_map, BatchJob, BatchRunner};
 pub use executor::{ExecMode, LayerExecutor, LayerRecord, EXEC_MODE_ENV};
-pub use graph::{Priority, SchedStats, TaskGraph, TaskId, TaskScheduler};
+pub use graph::Priority;
 pub use service::{FocusService, JobHandle, ServiceConfig, ServiceStats};
 pub use stage::{
     ConcentrationStage, GatherStage, LayerCtx, SemanticStage, StageOutput, StageScratch,
@@ -78,5 +78,10 @@ pub fn node_inventory(
     arch: &focus_sim::ArchConfig,
     depth: usize,
 ) -> [(crate::obs::SpanKind, usize); crate::obs::SpanKind::ALL.len()] {
-    PipelineGraph::new(pipeline, workload, arch, depth, None).span_inventory()
+    let job = BatchJob {
+        pipeline: pipeline.clone(),
+        workload: workload.clone(),
+        arch: arch.clone(),
+    };
+    PipelineGraph::with_warm(job, depth, None, None).span_inventory()
 }

@@ -1,11 +1,9 @@
-//! [`FocusService`]: the persistent serving front end of the task
-//! scheduler — a long-lived, process-wide worker pool that accepts
-//! pipeline runs as they arrive.
+//! [`FocusService`]: the front end of the task scheduler — a
+//! long-lived worker pool that accepts pipeline runs as they arrive.
 //!
-//! The batch-scoped [`crate::exec::TaskScheduler`] builds, drains and
-//! tears its workers down per call; a serving system cannot. Here the
-//! pool outlives any one request: [`FocusService::submit`] admits a
-//! [`BatchJob`]'s task graph into the shared scheduler
+//! The pool outlives any one request: [`FocusService::submit`] takes a
+//! [`BatchJob`] by value, wraps it in the request's own
+//! [`PipelineGraph`] and admits that graph into the shared scheduler
 //! [`Core`](crate::exec::graph) at a caller-chosen [`Priority`] and
 //! returns a [`JobHandle`] immediately; workers park (not exit)
 //! between requests and wake on admission. Admission control bounds
@@ -23,8 +21,9 @@
 //! [`crate::exec::BatchRunner`] and graph-mode
 //! [`FocusPipeline::run`](crate::pipeline::FocusPipeline::run) both
 //! submit into the process-wide [`FocusService::global`] instance, so
-//! a fused batch and a stream of single requests share one pool and
-//! interleave at stage granularity.
+//! a batch and a stream of single requests share one pool and
+//! interleave at stage granularity. [`FocusService::new`] builds an
+//! owned pool of a chosen width (tests and benches pin it this way).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -118,10 +117,7 @@ pub struct ServiceStats {
     /// no-starvation guarantee). Read from per-class min-tag counters
     /// the scheduler maintains incrementally — O(1), off the state
     /// lock, so polling stats at kHz rates never contends with
-    /// workers. (The original PR 5 implementation *did* scan the heap
-    /// under the state lock; PR 6 replaced that with the min-tag
-    /// mirrors, and this field has been a lock-free read since.)
-    /// Published in the metrics registry as
+    /// workers. Published in the metrics registry as
     /// `service.deficit.{high,normal,low}`.
     pub deficit_by_priority: [u64; Priority::LEVELS],
     /// Streaming sessions currently open against this service.
@@ -140,73 +136,13 @@ pub struct ServiceStats {
     pub temporal_gathers_skipped: u64,
 }
 
-/// The owned inputs of one in-flight request. Boxed behind
-/// [`ServiceJob`] so the graph state can borrow them for the job's
-/// whole lifetime.
-struct ServiceInputs {
-    job: BatchJob,
-    engine: Option<Arc<Engine>>,
-}
-
-/// One admitted request: the pipeline-graph state plus the owned
-/// inputs it borrows. The node closures and the [`JobHandle`] share
-/// it through an `Arc`, which is what lets the worker pool outlive
-/// the submitting scope (and what lets a [`crate::exec::StreamSession`]
-/// keep a reference for warm-state reclamation after completion).
-pub(crate) struct ServiceJob {
-    /// Borrows `inputs`; declared first so it drops first.
-    pub(crate) graph: PipelineGraph<'static>,
-    /// The shared allocation `graph` points into. Kept in an `Arc`
-    /// (not a `Box`) deliberately: moving an `Arc` copies a plain
-    /// pointer without asserting unique ownership of the pointee, so
-    /// the references forged below stay valid when the `Arc` — and
-    /// `ServiceJob` itself — move. Never mutated while the job lives.
-    _inputs: Arc<ServiceInputs>,
-}
-
-impl ServiceJob {
-    fn new(
-        job: BatchJob,
-        depth: usize,
-        engine: Option<Arc<Engine>>,
-        warm: Option<FrameWarm>,
-    ) -> Self {
-        let inputs = Arc::new(ServiceInputs { job, engine });
-        // SAFETY: `graph` borrows only from the shared allocation
-        // behind `inputs`, whose address is stable and which stays
-        // alive until the last `Arc` clone drops — and `ServiceJob`
-        // holds one, dropped strictly after `graph` (field order
-        // above). The allocation is never mutated, no unique-ownership
-        // claim is ever asserted over it (`Arc` moves are pointer
-        // copies, unlike `Box` moves), and the forged `'static` never
-        // escapes this struct: `run_node` and `take_result` only
-        // hand out data the graph state owns. (`warm` is owned data —
-        // no borrows to anchor.)
-        let graph = unsafe {
-            let anchored: &'static ServiceInputs = &*Arc::as_ptr(&inputs);
-            PipelineGraph::with_warm(
-                &anchored.job.pipeline,
-                &anchored.job.workload,
-                &anchored.job.arch,
-                depth,
-                anchored.engine.as_deref(),
-                warm,
-            )
-        };
-        ServiceJob {
-            graph,
-            _inputs: inputs,
-        }
-    }
-}
-
 /// Completion handle of a submitted request.
 ///
 /// Dropping the handle without waiting is fine — the request still
 /// runs to completion on the pool; only the result is discarded.
 pub struct JobHandle {
-    state: Arc<ServiceJob>,
-    run: Arc<JobRun<'static>>,
+    graph: Arc<PipelineGraph>,
+    run: Arc<JobRun>,
     priority: Priority,
 }
 
@@ -276,13 +212,13 @@ impl JobHandle {
         if let Some(payload) = self.run.take_panic() {
             std::panic::resume_unwind(payload);
         }
-        self.state.graph.take_result()
+        self.graph.take_result()
     }
 
-    /// The request's shared state and run record, for the session
+    /// The request's graph state and run record, for the session
     /// layer's window tracking and warm-state reclamation.
-    pub(crate) fn parts(&self) -> (Arc<ServiceJob>, Arc<JobRun<'static>>) {
-        (Arc::clone(&self.state), Arc::clone(&self.run))
+    pub(crate) fn parts(&self) -> (Arc<PipelineGraph>, Arc<JobRun>) {
+        (Arc::clone(&self.graph), Arc::clone(&self.run))
     }
 }
 
@@ -291,7 +227,7 @@ impl JobHandle {
 /// [`FocusService::new`] for an owned pool or use the process-wide
 /// [`FocusService::global`].
 pub struct FocusService {
-    core: Arc<Core<'static>>,
+    core: Arc<Core>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     jobs_submitted: AtomicU64,
     /// Streaming sessions currently open ([`crate::exec::StreamSession`]
@@ -350,45 +286,28 @@ impl FocusService {
     /// [`crate::exec::ExecMode::DEFAULT_GRAPH_DEPTH`] for a `Serial`
     /// job.
     ///
-    /// The request takes the job by value: it must own its inputs for
-    /// as long as it runs, which is independent of the submitting
-    /// stack frame. Callers holding borrows clone — a scene-descriptor
-    /// copy, negligible against the job's measured-phase work.
+    /// The request takes the job by value: it owns its inputs for as
+    /// long as it runs, independent of the submitting stack frame.
+    /// Callers holding borrows clone — cheap, since a workload shares
+    /// its scene.
     pub fn submit(&self, job: BatchJob, priority: Priority) -> JobHandle {
-        self.submit_inner(job, priority, None)
+        self.submit_with(job, priority, None, None)
     }
 
     /// Like [`FocusService::submit`], additionally running the cycle
     /// simulation in the request's `Finish` node against `engine`
     /// (shareable across requests — it is immutable during runs).
     pub fn submit_sim(&self, job: BatchJob, engine: Arc<Engine>, priority: Priority) -> JobHandle {
-        self.submit_inner(job, priority, Some(engine))
+        self.submit_with(job, priority, Some(engine), None)
     }
 
-    /// Like [`FocusService::submit`], additionally threading a
-    /// session's warm frame state (shared retention plan, recycled
-    /// scratch) into the request's graph — the admission path of
-    /// [`crate::exec::StreamSession::push_frame`].
-    pub(crate) fn submit_warm(
-        &self,
-        job: BatchJob,
-        priority: Priority,
-        engine: Option<Arc<Engine>>,
-        warm: FrameWarm,
-    ) -> JobHandle {
-        self.submit_with(job, priority, engine, Some(warm))
-    }
-
-    fn submit_inner(
-        &self,
-        job: BatchJob,
-        priority: Priority,
-        engine: Option<Arc<Engine>>,
-    ) -> JobHandle {
-        self.submit_with(job, priority, engine, None)
-    }
-
-    fn submit_with(
+    /// The one admission path: builds the request's [`PipelineGraph`]
+    /// (with the cycle simulation in `Finish` when `engine` is given,
+    /// and over a session's warm frame state when `warm` is — the
+    /// path of [`crate::exec::StreamSession::push_frame`]) and injects
+    /// one node closure per planned node, each sharing the graph's
+    /// `Arc`.
+    pub(crate) fn submit_with(
         &self,
         job: BatchJob,
         priority: Priority,
@@ -396,20 +315,20 @@ impl FocusService {
         warm: Option<FrameWarm>,
     ) -> JobHandle {
         let depth = job.pipeline.exec_mode.graph_depth();
-        let state = Arc::new(ServiceJob::new(job, depth, engine, warm));
-        let mut graph: TaskGraph<'static> = TaskGraph::new();
+        let state = Arc::new(PipelineGraph::with_warm(job, depth, engine, warm));
+        let mut graph = TaskGraph::new();
         let mut ids: Vec<TaskId> = Vec::new();
-        for (deps, kind) in state.graph.plan() {
+        for (deps, kind) in state.plan() {
             let deps: Vec<TaskId> = deps.iter().map(|&d| ids[d]).collect();
             let node_state = Arc::clone(&state);
-            ids.push(graph.add_labeled(&deps, kind.span_label(), move || {
-                node_state.graph.run_node(kind)
+            ids.push(graph.add(&deps, Some(kind.span_label()), move || {
+                node_state.run_node(kind)
             }));
         }
         self.jobs_submitted.fetch_add(1, Ordering::SeqCst);
         let run = self.core.inject(graph, priority);
         JobHandle {
-            state,
+            graph: state,
             run,
             priority,
         }

@@ -47,7 +47,7 @@ pub struct LayerCtx<'a> {
 
 /// The **workload-independent** half of a [`StageWorkspace`]: the
 /// recycled activation matrix and the flat gather lookup + per-m-tile
-/// candidate plan. Unlike the activation synthesiser (which borrows
+/// candidate plan. Unlike the activation synthesiser (which holds
 /// one workload's scene), this scratch carries no per-scene state —
 /// the lookup is epoch-stamped and the matrix fully overwritten per
 /// call — so a [`crate::exec::StreamSession`] keeps it resident
@@ -94,22 +94,22 @@ impl StageScratch {
 /// executor keeps one per node so the four gather stages can run
 /// concurrently without sharing mutable state. Streaming sessions
 /// additionally recycle the [`StageScratch`] half across frames.
-pub struct StageWorkspace<'w> {
+pub struct StageWorkspace {
     /// The resident activation synthesiser.
-    pub syn: ActivationSynthesizer<'w>,
+    pub syn: ActivationSynthesizer,
     /// The workload-independent recycled buffers.
     pub scratch: StageScratch,
 }
 
-impl<'w> StageWorkspace<'w> {
+impl StageWorkspace {
     /// A workspace for one stage of `workload`'s stage graph, on the
     /// process-wide active kernel backend.
-    pub fn new(workload: &'w Workload) -> Self {
+    pub fn new(workload: &Workload) -> Self {
         StageWorkspace::new_on(workload, crate::obs::kernel_backend())
     }
 
     /// [`StageWorkspace::new`] on an explicit kernel backend.
-    pub fn new_on(workload: &'w Workload, backend: BackendHandle) -> Self {
+    pub fn new_on(workload: &Workload, backend: BackendHandle) -> Self {
         StageWorkspace::with_scratch_on(workload, StageScratch::for_workload(workload), backend)
     }
 
@@ -117,14 +117,14 @@ impl<'w> StageWorkspace<'w> {
     /// `scratch` — the warm-reuse path of streaming sessions. The
     /// scratch must have been built for the same frame grid (the
     /// session enforces geometry compatibility at `push_frame`).
-    pub fn with_scratch(workload: &'w Workload, scratch: StageScratch) -> Self {
+    pub fn with_scratch(workload: &Workload, scratch: StageScratch) -> Self {
         StageWorkspace::with_scratch_on(workload, scratch, crate::obs::kernel_backend())
     }
 
     /// [`StageWorkspace::with_scratch`] on an explicit kernel backend:
     /// the synthesiser's noise-fill kernel dispatches through `backend`.
     pub fn with_scratch_on(
-        workload: &'w Workload,
+        workload: &Workload,
         scratch: StageScratch,
         backend: BackendHandle,
     ) -> Self {
@@ -170,22 +170,22 @@ pub trait ConcentrationStage: Sync {
     fn label(&self) -> &'static str;
 
     /// Processes one layer using (and updating) `ws`.
-    fn run(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace<'_>) -> StageOutput;
+    fn run(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace) -> StageOutput;
 }
 
 /// The semantic concentration stage: prompt-aware token pruning at the
 /// Table I schedule points.
-pub struct SemanticStage<'w> {
+pub struct SemanticStage {
     config: FocusConfig,
     sec: SemanticConcentrator,
-    att: AttentionSynthesizer<'w>,
+    att: AttentionSynthesizer,
     /// Image tokens at measured scale (the schedule's 100 % anchor).
     m_img: usize,
 }
 
-impl<'w> SemanticStage<'w> {
+impl SemanticStage {
     /// Builds the stage for one workload.
-    pub fn new(config: &FocusConfig, workload: &'w Workload) -> Self {
+    pub fn new(config: &FocusConfig, workload: &Workload) -> Self {
         SemanticStage {
             config: config.clone(),
             sec: SemanticConcentrator::new(config.analyzer_ways),
@@ -210,8 +210,8 @@ impl<'w> SemanticStage<'w> {
     /// Prunes one layer's retained set, returning the surviving tokens
     /// and the pass statistics, or `None` when the schedule leaves this
     /// layer alone. The semantic stage needs no scratch workspace, so
-    /// the executor (and its cross-layer prefetch) calls this directly;
-    /// the [`ConcentrationStage`] impl delegates here.
+    /// the executor calls this directly; the [`ConcentrationStage`]
+    /// impl delegates here.
     pub fn prune_layer(&self, ctx: &LayerCtx<'_>) -> Option<(Vec<usize>, SecLayerStats)> {
         let k = self.prune_k(ctx.layer, ctx.retained.len())?;
         let heads = self.att.all_heads(ctx.layer, ctx.retained);
@@ -233,12 +233,12 @@ impl<'w> SemanticStage<'w> {
     }
 }
 
-impl ConcentrationStage for SemanticStage<'_> {
+impl ConcentrationStage for SemanticStage {
     fn label(&self) -> &'static str {
         "sec"
     }
 
-    fn run(&self, ctx: &LayerCtx<'_>, _ws: &mut StageWorkspace<'_>) -> StageOutput {
+    fn run(&self, ctx: &LayerCtx<'_>, _ws: &mut StageWorkspace) -> StageOutput {
         match self.prune_layer(ctx) {
             Some((kept, stats)) => StageOutput::Pruned { kept, stats },
             None => StageOutput::Skipped,
@@ -333,7 +333,7 @@ impl ConcentrationStage for GatherStage {
         }
     }
 
-    fn run(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace<'_>) -> StageOutput {
+    fn run(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace) -> StageOutput {
         self.synth(ctx, ws);
         StageOutput::Gathered {
             stage: self.stage,
@@ -353,7 +353,7 @@ impl GatherStage {
     /// whose SIMD and scalar paths are bit-identical — so the node's
     /// output does not depend on which machine or dispatch path ran
     /// it, only on the workload.
-    pub fn synth(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace<'_>) {
+    pub fn synth(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace) {
         self.synth_raw(ctx, ws);
         self.convert(ws);
     }
@@ -362,7 +362,7 @@ impl GatherStage {
     /// workspace's recycled buffer with this stage's full-precision
     /// activations, without the dtype pass. Split out so the bench can
     /// time synthesis and conversion separately.
-    pub fn synth_raw(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace<'_>) {
+    pub fn synth_raw(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace) {
         let width = self.stage.width(ctx.workload.scaled_model());
         ws.syn.activations_into(
             ctx.retained,
@@ -377,7 +377,7 @@ impl GatherStage {
     /// datapath precision to the synthesised buffer through the
     /// backend's whole-matrix conversion kernel (FP16 rounding or INT8
     /// fake-quantisation).
-    pub fn convert(&self, ws: &mut StageWorkspace<'_>) {
+    pub fn convert(&self, ws: &mut StageWorkspace) {
         match self.dtype {
             DataType::Fp16 => self.backend.f16_round(&mut ws.scratch.acts),
             DataType::Int8 => self.backend.fake_quantize(&mut ws.scratch.acts),
@@ -389,7 +389,7 @@ impl GatherStage {
     /// `ws.acts`. Split from [`ConcentrationStage::run`] so the
     /// graph scheduler can overlap one layer's gathers with another
     /// layer's synthesis at any pipeline depth.
-    pub fn gather(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace<'_>) -> MatrixGatherStats {
+    pub fn gather(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace) -> MatrixGatherStats {
         self.concentrator.gather_matrix_with_on(
             &ws.scratch.acts,
             ctx.positions,
@@ -408,7 +408,7 @@ impl GatherStage {
     pub fn gather_temporal(
         &self,
         ctx: &LayerCtx<'_>,
-        ws: &mut StageWorkspace<'_>,
+        ws: &mut StageWorkspace,
         cache: &TemporalCache,
         stage_index: usize,
     ) -> MatrixGatherStats {

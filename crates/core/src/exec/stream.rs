@@ -5,9 +5,8 @@
 //! arriving indefinitely — but a service that only accepts whole
 //! pipeline runs forces the caller to chop an unbounded feed into
 //! unrelated jobs: no state carries across frames, and nothing bounds
-//! how far a fast producer runs ahead of the pool (ROADMAP (l)). A
-//! `StreamSession` makes the **frame within a session** the unit of
-//! admission:
+//! how far a fast producer runs ahead of the pool. A `StreamSession`
+//! makes the **frame within a session** the unit of admission:
 //!
 //! * [`StreamSession::push_frame`] admits one pipeline graph per frame
 //!   and returns a [`FrameHandle`] immediately; frames of the same
@@ -44,8 +43,8 @@ use focus_vlm::Workload;
 use focus_vlm::embedding::Stage;
 
 use crate::exec::batch::BatchJob;
-use crate::exec::graph::{JobRun, Priority};
-use crate::exec::service::{FocusService, JobHandle, ServiceJob};
+use crate::exec::graph::{JobRun, PipelineGraph, Priority};
+use crate::exec::service::{FocusService, JobHandle};
 use crate::exec::stage::StageScratch;
 use crate::pipeline::measure::MeasureBuffers;
 use crate::pipeline::{FocusPipeline, PipelineResult};
@@ -131,8 +130,8 @@ pub struct SessionStats {
 /// for window tracking and warm-state reclamation (independent of the
 /// caller's [`FrameHandle`], which may be waited or dropped freely).
 struct InflightFrame {
-    state: Arc<ServiceJob>,
-    run: Arc<JobRun<'static>>,
+    graph: Arc<PipelineGraph>,
+    run: Arc<JobRun>,
 }
 
 /// One retired frame's recyclable allocations.
@@ -464,9 +463,9 @@ impl<'s> StreamSession<'s> {
         };
         let handle = self
             .service
-            .submit_warm(job, self.config.priority, None, warm);
-        let (state, run) = handle.parts();
-        self.inflight.push_back(InflightFrame { state, run });
+            .submit_with(job, self.config.priority, None, Some(warm));
+        let (graph, run) = handle.parts();
+        self.inflight.push_back(InflightFrame { graph, run });
         let frame = self.frames_pushed;
         self.frames_pushed += 1;
         FrameHandle { handle, frame }
@@ -488,7 +487,7 @@ impl<'s> StreamSession<'s> {
     /// session down.
     fn retire(&mut self, frame: InflightFrame) {
         frame.run.wait_done();
-        let (scratch, measure) = frame.state.graph.reclaim_warm();
+        let (scratch, measure) = frame.graph.reclaim_warm();
         self.pool.push(FrameAllocs { scratch, measure });
         self.frames_retired += 1;
         self.sync_temporal();

@@ -27,15 +27,14 @@
 //! * [`exec`] — the execution engine: the
 //!   [`exec::ConcentrationStage`] trait (one stage-node body), the
 //!   [`exec::LayerExecutor`] (the node inventory and the serial
-//!   oracle's layer loop), the
-//!   [`exec::TaskGraph`]/[`exec::TaskScheduler`] pair behind
-//!   [`exec::ExecMode::Graph`], the default schedule (every layer
-//!   decomposed into
-//!   `Sec`/`Synth`/`Gather`/`Fold`/`Lower` task nodes on a
+//!   oracle's layer loop), the [`exec::FocusService`] worker pool
+//!   behind [`exec::ExecMode::Graph`], the default schedule (each run
+//!   a pipeline graph that owns its inputs, every layer decomposed
+//!   into `Sec`/`Synth`/`Gather`/`Fold`/`Lower` task nodes on a
 //!   work-stealing scheduler, cross-layer and cross-workload overlap
-//!   at any depth), and the [`exec::BatchRunner`] (fans whole
-//!   pipeline runs across cores — or fuses a graph-mode batch into
-//!   one scheduler — with results bit-identical to serial execution);
+//!   at any depth), and the [`exec::BatchRunner`] (submits a
+//!   graph-mode batch into that pool — or fans serial runs across
+//!   cores — with results bit-identical to serial execution);
 //! * [`session`] — per-session warm state for streaming feeds: the
 //!   shared retention plan and the recycled frame allocations behind
 //!   [`exec::StreamSession`]'s per-frame admission;
@@ -94,11 +93,7 @@
 //! assert_eq!(results.len(), 4);
 //! ```
 
-// Every unsafe operation must sit in an explicit `unsafe {}` block even
-// inside `unsafe fn`, so the `focus-lint` S1 pass (SAFETY comments on
-// every unsafe span) audits the true unsafe surface, not whole fn
-// bodies.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod exec;

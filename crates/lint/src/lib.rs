@@ -18,6 +18,8 @@
 //! - test: the repo-root `tests/lint_clean.rs` keeps `cargo test -q`
 //!   sufficient to hold the tree clean.
 
+#![forbid(unsafe_code)]
+
 pub mod rules;
 pub mod scan;
 
@@ -29,7 +31,7 @@ use std::path::{Path, PathBuf};
 
 /// Directories under the workspace root that hold first-party source.
 /// `shims/` is deliberately absent: those crates are offline stand-ins
-/// for third-party code (serde/rayon/proptest/criterion) and carry the
+/// for third-party code (rayon/proptest/criterion) and carry the
 /// upstream idioms, not ours.
 const WALK_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 

@@ -31,6 +31,8 @@
 //! assert!(report.avg_utilization > 0.9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod config;
 pub mod dram;

@@ -10,6 +10,8 @@
 //! the Fig. 2(a) behaviour where attention mass moves with the question
 //! (dog → flower) rather than with any static metric.
 
+use std::sync::Arc;
+
 use focus_tensor::Matrix;
 
 use crate::embedding::SplitMix64;
@@ -70,26 +72,26 @@ pub fn relevance(scene: &Scene, prompt: &Prompt) -> Vec<f64> {
 
 /// Synthesises per-head text→image attention probability blocks.
 #[derive(Debug)]
-pub struct AttentionSynthesizer<'a> {
-    scene: &'a Scene,
+pub struct AttentionSynthesizer {
+    scene: Arc<Scene>,
     prompt: Prompt,
     text_tokens: usize,
     heads: usize,
     seed: u64,
 }
 
-impl<'a> AttentionSynthesizer<'a> {
+impl AttentionSynthesizer {
     /// Creates a synthesiser for `scene` under `prompt`, with `text_tokens`
     /// prompt tokens and `heads` attention heads.
     pub fn new(
-        scene: &'a Scene,
+        scene: impl Into<Arc<Scene>>,
         prompt: Prompt,
         text_tokens: usize,
         heads: usize,
         seed: u64,
     ) -> Self {
         AttentionSynthesizer {
-            scene,
+            scene: scene.into(),
             prompt,
             text_tokens,
             heads,

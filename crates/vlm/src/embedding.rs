@@ -20,6 +20,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use focus_tensor::backend::{self, BackendHandle, KernelLaunch};
 use focus_tensor::Matrix;
@@ -300,8 +301,8 @@ impl StabilityModel {
 /// the (layer, stage) context changes, which matches the layer-by-layer
 /// traversal of the pipeline.
 #[derive(Debug)]
-pub struct ActivationSynthesizer<'a> {
-    scene: &'a Scene,
+pub struct ActivationSynthesizer {
+    scene: Arc<Scene>,
     redundancy: RedundancyProfile,
     seed: u64,
     layers: usize,
@@ -317,13 +318,18 @@ pub struct ActivationSynthesizer<'a> {
     stability_cache: HashMap<(ContentKey, usize), Vec<bool>, FnvBuild>,
 }
 
-impl<'a> ActivationSynthesizer<'a> {
+impl ActivationSynthesizer {
     /// Creates a synthesiser for `scene` with the dataset's redundancy
     /// profile. `layers` is the total layer count (used for the mild
     /// depth trend in stability).
-    pub fn new(scene: &'a Scene, redundancy: RedundancyProfile, layers: usize, seed: u64) -> Self {
+    pub fn new(
+        scene: impl Into<Arc<Scene>>,
+        redundancy: RedundancyProfile,
+        layers: usize,
+        seed: u64,
+    ) -> Self {
         ActivationSynthesizer {
-            scene,
+            scene: scene.into(),
             redundancy,
             seed,
             layers,
@@ -343,7 +349,7 @@ impl<'a> ActivationSynthesizer<'a> {
 
     /// The scene this synthesiser reads.
     pub fn scene(&self) -> &Scene {
-        self.scene
+        &self.scene
     }
 
     /// Context salt for a (layer, stage) pair.
@@ -380,11 +386,9 @@ impl<'a> ActivationSynthesizer<'a> {
     /// the comments; IEEE-754 addition is commutative, so the rows are
     /// bit-identical either way.
     fn deterministic_row(&mut self, token: usize, width: usize, salt: u64, out: &mut [f32]) {
-        // Copy the `&'a Scene` reference out of `self` so the patch
-        // borrow outlives the `&mut self` appearance calls below — no
-        // per-row clone of the patch.
-        let scene: &'a Scene = self.scene;
-        let patch = scene.patch_by_index(token);
+        // Copy the (plain-data) patch out of the scene so no borrow of
+        // `self` outlives the `&mut self` appearance calls below.
+        let patch = *self.scene.patch_by_index(token);
         match patch.primary {
             ContentKey::Background { epoch, .. } => {
                 // sqrt-weighted mix keeps unit variance; the expected

@@ -38,6 +38,8 @@
 //! assert_eq!(w.image_tokens_full(), 6272); // paper-scale token count
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod accuracy;
 pub mod attention;
 pub mod config;

@@ -11,6 +11,8 @@
 //! expands into latent appearance vectors: two patches with the same key
 //! show the *same content*, which is what temporal redundancy means.
 
+use std::sync::Arc;
+
 use crate::dataset::RedundancyProfile;
 
 #[cfg(test)]
@@ -133,7 +135,7 @@ impl ContentKey {
 }
 
 /// What one patch of one frame shows.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PatchContent {
     /// Dominant content.
     pub primary: ContentKey,
@@ -209,6 +211,15 @@ fn unit_from_hash(h: u64) -> f64 {
 fn normal_from_hash(h: u64) -> f32 {
     let h2 = h.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
     focus_tensor::math::normal_from_raw(h, h2)
+}
+
+/// Shares a deep copy of a borrowed scene, so a standalone synthesiser
+/// can be built over a scene the caller keeps (a [`crate::Workload`]
+/// shares its own `Arc` instead).
+impl From<&Scene> for Arc<Scene> {
+    fn from(scene: &Scene) -> Self {
+        Arc::new(scene.clone())
+    }
 }
 
 impl Scene {

@@ -1,13 +1,16 @@
 //! The top-level workload object: one (model, benchmark, prompt, seed)
 //! cell of the paper's evaluation grid.
 //!
-//! A [`Workload`] owns the synthesised scene and exposes everything the
+//! A [`Workload`] shares the synthesised scene (an [`Arc`], so clones
+//! are O(1)) and exposes everything the
 //! concentration pipelines consume: paper-scale and measured-scale model
 //! configurations, token counts, the activation and attention
 //! synthesisers, and ground-truth relevance. The *measured* pipeline
 //! runs at [`WorkloadScale`] resolution; cycle/energy numbers are then
 //! computed analytically at paper scale from the measured ratios
 //! (DESIGN.md §2).
+
+use std::sync::Arc;
 
 use crate::attention::{relevance, AttentionSynthesizer, Prompt};
 use crate::config::{ModelConfig, ModelKind, WorkloadScale};
@@ -24,7 +27,7 @@ pub struct Workload {
     scale: WorkloadScale,
     prompt: Prompt,
     seed: u64,
-    scene: Scene,
+    scene: Arc<Scene>,
 }
 
 impl Workload {
@@ -97,7 +100,7 @@ impl Workload {
             scale,
             prompt,
             seed,
-            scene,
+            scene: Arc::new(scene),
         }
     }
 
@@ -159,7 +162,7 @@ impl Workload {
     /// The group-stability law governing this workload's activation
     /// synthesis — the proof side of temporal carry. Identical to
     /// [`Workload::activation_synthesizer`]`().stability_model()`
-    /// without borrowing the scene.
+    /// without building a synthesiser.
     pub fn stability_model(&self) -> StabilityModel {
         StabilityModel::new(
             self.profile.redundancy,
@@ -188,10 +191,10 @@ impl Workload {
         self.image_tokens_scaled() + self.text_tokens()
     }
 
-    /// An activation synthesiser borrowing this workload's scene.
-    pub fn activation_synthesizer(&self) -> ActivationSynthesizer<'_> {
+    /// An activation synthesiser sharing this workload's scene.
+    pub fn activation_synthesizer(&self) -> ActivationSynthesizer {
         ActivationSynthesizer::new(
-            &self.scene,
+            Arc::clone(&self.scene),
             self.profile.redundancy,
             self.model.layers,
             hash_words(self.seed, &[0xAC7]),
@@ -203,15 +206,15 @@ impl Workload {
     pub fn activation_synthesizer_on(
         &self,
         backend: focus_tensor::BackendHandle,
-    ) -> ActivationSynthesizer<'_> {
+    ) -> ActivationSynthesizer {
         self.activation_synthesizer().with_backend(backend)
     }
 
-    /// An attention synthesiser borrowing this workload's scene, with
+    /// An attention synthesiser sharing this workload's scene, with
     /// the measured-scale head count.
-    pub fn attention_synthesizer(&self) -> AttentionSynthesizer<'_> {
+    pub fn attention_synthesizer(&self) -> AttentionSynthesizer {
         AttentionSynthesizer::new(
-            &self.scene,
+            Arc::clone(&self.scene),
             self.prompt.clone(),
             self.profile.text_tokens,
             self.scaled.heads,

@@ -10,7 +10,7 @@
 
 use focus::core::exec::{
     BatchJob, BatchRunner, ConcentrationStage, ExecMode, FocusService, GatherStage, JobHandle,
-    LayerCtx, Priority, ServiceConfig, StageOutput, StageWorkspace, TaskScheduler,
+    LayerCtx, Priority, ServiceConfig, StageOutput, StageWorkspace,
 };
 use focus::core::pipeline::{FocusPipeline, PipelineResult};
 use focus::core::sic::{ConvLayouter, Fhw};
@@ -136,9 +136,9 @@ proptest! {
     /// arbitrary retention schedules, precisions and models, on a
     /// forced multi-thread pool. (The pool width is set once, like every other test in
     /// this binary — the env var is process-global, so mutating it per
-    /// case would race with tests running concurrently; the graph
-    /// scheduler's worker count is an explicit parameter instead, so
-    /// it *can* vary per case.)
+    /// case would race with tests running concurrently; the graph leg
+    /// runs on an owned [`FocusService`] whose worker count is an
+    /// explicit parameter instead, so it *can* vary per case.)
     #[test]
     fn all_exec_modes_match_serial_over_schedules(
         prune_layers in proptest::collection::btree_set(1usize..28, 0..6),
@@ -167,7 +167,14 @@ proptest! {
         }
         let arch = ArchConfig::focus();
         let serial = pipeline.clone().with_exec_mode(ExecMode::Serial).run(&wl, &arch);
-        let graph = pipeline.run_graph(&wl, &arch, depth, &TaskScheduler::with_threads(threads));
+        let job = BatchJob {
+            pipeline: pipeline.with_exec_mode(ExecMode::Graph { depth }),
+            workload: wl,
+            arch,
+        };
+        let graph = FocusService::new(ServiceConfig::with_threads(threads))
+            .submit(job, Priority::Normal)
+            .wait();
         assert_identical(
             &graph,
             &serial,
