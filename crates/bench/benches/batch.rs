@@ -330,14 +330,14 @@ fn staged_fixture(
         .collect();
     let stages: Vec<GatherStage> = Stage::GATHER_POINTS
         .iter()
-        .map(|&s| GatherStage::new_on(&FocusConfig::paper(), s, dtype, backend))
+        .map(|&s| GatherStage::new(&FocusConfig::paper(), s, dtype, backend))
         .collect();
     let ws = wls
         .iter()
         .map(|wl| {
             stages
                 .iter()
-                .map(|_| StageWorkspace::new_on(wl, backend))
+                .map(|_| StageWorkspace::new(wl, backend))
                 .collect()
         })
         .collect();
@@ -450,13 +450,19 @@ fn synthesis_fixture(
     Vec<Vec<StageWorkspace>>,
 ) {
     let walks = wls.iter().map(measured_walk).collect();
+    let backend = focus_core::obs::kernel_backend();
     let stages: Vec<GatherStage> = Stage::GATHER_POINTS
         .iter()
-        .map(|&s| GatherStage::new(&FocusConfig::paper(), s, DataType::Fp16))
+        .map(|&s| GatherStage::new(&FocusConfig::paper(), s, DataType::Fp16, backend))
         .collect();
     let ws = wls
         .iter()
-        .map(|wl| stages.iter().map(|_| StageWorkspace::new(wl)).collect())
+        .map(|wl| {
+            stages
+                .iter()
+                .map(|_| StageWorkspace::new(wl, backend))
+                .collect()
+        })
         .collect();
     (walks, stages, ws)
 }

@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use focus_core::sec::{ImportanceAnalyzer, OffsetEncoding, TopKSorter};
-use focus_core::sic::{gather_tile, scatter, ConvLayouter, Fhw, GatherConfig};
+use focus_core::sic::{gather_tile, scatter, ConvLayouter, Fhw, GatherConfig, GatherScratch};
 use focus_core::BlockSize;
-use focus_tensor::Matrix;
+use focus_tensor::{backend, Matrix};
 
 /// A 1024×32 tile with a realistic (~35 %) duplicate rate over a
 /// 14×14×f grid.
@@ -28,8 +28,14 @@ fn bench_gather(c: &mut Criterion) {
         threshold: 0.9,
         block: BlockSize::DEFAULT,
     };
+    let mut plan = GatherScratch::new(&ConvLayouter::new(14, 14));
+    // Planning is inside the iteration, so each one times a complete
+    // tile gather (candidate resolution + matcher sweep).
     c.bench_function("sic/gather_tile_1024x32", |b| {
-        b.iter(|| gather_tile(&acts, 0, 1024, 0..32, &positions, &cfg))
+        b.iter(|| {
+            plan.plan_tile(&positions, 0, 1024, cfg.block);
+            gather_tile(&acts, &plan, 0..32, &cfg, None, backend::active())
+        })
     });
 }
 
@@ -39,9 +45,11 @@ fn bench_scatter(c: &mut Criterion) {
         threshold: 0.9,
         block: BlockSize::DEFAULT,
     };
-    let g = gather_tile(&acts, 0, 1024, 0..32, &positions, &cfg);
+    let mut plan = GatherScratch::new(&ConvLayouter::new(14, 14));
+    plan.plan_tile(&positions, 0, 1024, cfg.block);
+    let g = gather_tile(&acts, &plan, 0..32, &cfg, None, backend::active());
     c.bench_function("sic/scatter_1024x32", |b| {
-        b.iter(|| scatter(&g.compact, &g.map))
+        b.iter(|| scatter(&g.compact, &g.map, backend::active()))
     });
 }
 

@@ -4,9 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use focus_core::pipeline::FocusPipeline;
-use focus_core::sic::{ConvLayouter, Fhw, SimilarityConcentrator};
+use focus_core::sic::{ConvLayouter, Fhw, GatherScratch, SimilarityConcentrator};
 use focus_core::FocusConfig;
 use focus_sim::{ArchConfig, Engine};
+use focus_tensor::backend;
 use focus_vlm::embedding::Stage;
 use focus_vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
 
@@ -30,8 +31,9 @@ fn bench_gather_matrix(c: &mut Criterion) {
         .map(|&t| Some(layouter.position_of(t)))
         .collect();
     let sic = SimilarityConcentrator::from_config(&FocusConfig::paper());
+    let mut scratch = GatherScratch::new(&layouter);
     c.bench_function("pipeline/gather_matrix_784x128", |b| {
-        b.iter(|| sic.gather_matrix(&acts, &positions))
+        b.iter(|| sic.gather_matrix(&acts, &positions, &mut scratch, None, backend::active()))
     });
 }
 

@@ -12,9 +12,10 @@
 use focus_bench::{print_table, workload};
 use focus_core::exec::par_map;
 use focus_core::sec::SelectionPolicy;
-use focus_core::sic::{ConvLayouter, Fhw, SimilarityConcentrator};
+use focus_core::sic::{ConvLayouter, Fhw, GatherScratch, SimilarityConcentrator};
 use focus_core::FocusConfig;
 use focus_sim::AreaModel;
+use focus_tensor::backend;
 use focus_tensor::ops::{l2_norm, top_k_indices};
 use focus_vlm::embedding::Stage;
 use focus_vlm::{DatasetKind, ModelKind};
@@ -48,7 +49,8 @@ fn main() {
             tile_m,
             ..SimilarityConcentrator::from_config(&FocusConfig::paper())
         };
-        let stats = sic.gather_matrix(&acts, &positions);
+        let mut scratch = GatherScratch::new(&layouter);
+        let stats = sic.gather_matrix(&acts, &positions, &mut scratch, None, backend::active());
         vec![
             label.to_string(),
             format!("{:.1}%", 100.0 * (1.0 - stats.retained_ratio())),

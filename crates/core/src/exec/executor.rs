@@ -4,8 +4,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use rayon::prelude::*;
-
 use focus_vlm::embedding::Stage;
 use focus_vlm::Workload;
 
@@ -31,11 +29,12 @@ pub const EXEC_MODE_ENV: &str = "FOCUS_EXEC_MODE";
 #[allow(clippy::manual_non_exhaustive)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// The independent oracle schedule: the four gathers of a layer
-    /// run concurrently, but each call builds a fresh synthesiser, a
-    /// fresh activation allocation and per-tile hash maps, and every
-    /// layer is a barrier — no cross-layer overlap. Kept as the
-    /// bit-exactness baseline every other schedule is checked against.
+    /// The independent oracle schedule: a plain sequential loop over
+    /// layers and, within each layer, over the four gather stages. Each
+    /// stage call runs on a fresh workspace (fresh synthesiser, fresh
+    /// activation buffer and gather scratch), so no memo carries over
+    /// and there is no cross-layer overlap. Kept as the bit-exactness
+    /// baseline every other schedule is checked against.
     Serial,
     /// The task-graph schedule (the default): every layer decomposes
     /// into `Sec`, per-stage `Synth` and `Gather`, `FoldStats`,
@@ -141,7 +140,7 @@ impl ExecMode {
 
     /// Workspace ring length per gather stage: how many layers' worth
     /// of synthesis may be in flight under this schedule. `Serial`
-    /// builds its state fresh per call and holds none.
+    /// builds a fresh workspace per stage call and holds none.
     pub(crate) fn ring(self) -> usize {
         match self {
             ExecMode::Serial => 0,
@@ -193,9 +192,9 @@ impl LayerRecord {
 
 /// Folds the four gather stages' statistics into `record` in fixed
 /// stage order — identical arithmetic order to a serial stage sweep,
-/// so every schedule (serial loop, rayon fan-out, task graph) produces
-/// bit-identical records. `retained_len` is the post-prune retained
-/// count of the layer (the fidelity vector's length).
+/// so every schedule (serial loop, task graph) produces bit-identical
+/// records. `retained_len` is the post-prune retained count of the
+/// layer (the fidelity vector's length).
 pub(crate) fn fold_gathers(
     record: &mut LayerRecord,
     outputs: impl IntoIterator<Item = MatrixGatherStats>,
@@ -232,10 +231,9 @@ pub(crate) fn fold_gathers(
 /// inventory its nodes share. [`LayerExecutor::run_layer`] is the
 /// [`ExecMode::Serial`] oracle's layer step: the semantic stage runs
 /// first (it decides which token rows even exist downstream), then the
-/// four mutually independent gather stages run concurrently, each
-/// rebuilding its state fresh, and the layer ends in a barrier. Stage
-/// outputs are folded in fixed stage order, so both schedules are
-/// bit-identical (`tests/batch_determinism.rs` proves it
+/// four gather stages run one after another, each on a fresh
+/// workspace. Stage outputs are folded in fixed stage order, so both
+/// schedules are bit-identical (`tests/batch_determinism.rs` proves it
 /// property-style).
 pub struct LayerExecutor {
     workload: Workload,
@@ -292,10 +290,10 @@ impl LayerExecutor {
         );
         let gathers: Vec<GatherStage> = Stage::GATHER_POINTS
             .iter()
-            .map(|&s| GatherStage::new_on(config, s, pipeline.dtype, pipeline.backend))
+            .map(|&s| GatherStage::new(config, s, pipeline.dtype, pipeline.backend))
             .collect();
-        // Serial mode only ever calls `run_fresh`, which builds its own
-        // state — don't charge it idle workspaces (ring = 0).
+        // Serial mode builds a fresh workspace per stage call — don't
+        // charge it idle workspaces (ring = 0).
         let gather_ws: Vec<Mutex<StageWorkspace>> = match scratch {
             Some(sets) => {
                 assert_eq!(
@@ -305,11 +303,7 @@ impl LayerExecutor {
                 );
                 sets.into_iter()
                     .map(|s| {
-                        Mutex::new(StageWorkspace::with_scratch_on(
-                            workload,
-                            s,
-                            pipeline.backend,
-                        ))
+                        Mutex::new(StageWorkspace::with_scratch(workload, s, pipeline.backend))
                     })
                     .collect()
             }
@@ -317,7 +311,7 @@ impl LayerExecutor {
                 .iter()
                 .flat_map(|_| {
                     (0..mode.ring())
-                        .map(|_| Mutex::new(StageWorkspace::new_on(workload, pipeline.backend)))
+                        .map(|_| Mutex::new(StageWorkspace::new(workload, pipeline.backend)))
                 })
                 .collect(),
         };
@@ -398,9 +392,9 @@ impl LayerExecutor {
     }
 
     /// Runs one layer of the [`ExecMode::Serial`] schedule, updating
-    /// `retained` in place: SEC, then the four gathers concurrently,
-    /// each building its state fresh, then a barrier. Layers may come
-    /// in any order — every stage is a pure function of its context.
+    /// `retained` in place: SEC, then the four gathers in stage order,
+    /// each on a fresh workspace. Layers may come in any order — every
+    /// stage is a pure function of its context.
     pub fn run_layer(&self, layer: usize, retained: &mut Vec<usize>) -> LayerRecord {
         let retained_in = retained.len();
 
@@ -417,7 +411,7 @@ impl LayerExecutor {
             sec = Some(stats);
         }
 
-        // --- Similarity concentration (FC stages, concurrent). ---
+        // --- Similarity concentration (FC stages, in stage order). ---
         let measured = self.measures_at(layer);
         let mut record = LayerRecord::empty(retained_in, measured, sec);
         if !measured {
@@ -445,22 +439,17 @@ impl LayerExecutor {
             retained,
             positions,
         };
-        let outputs: Vec<StageOutput> =
-            self.gathers.par_iter().map(|g| g.run_fresh(&ctx)).collect();
-
         // Fold in fixed stage order: identical arithmetic order to the
         // task graph's `FoldStats` nodes, so the schedules agree
         // bit-for-bit.
-        fold_gathers(
-            &mut record,
-            outputs.into_iter().map(|out| {
-                let StageOutput::Gathered { stats, .. } = out else {
-                    unreachable!("gather stages always gather");
-                };
-                stats
-            }),
-            retained.len(),
-        );
+        let outputs = self.gathers.iter().map(|g| {
+            let mut ws = StageWorkspace::new(&self.workload, g.backend());
+            let StageOutput::Gathered { stats, .. } = g.run(&ctx, &mut ws) else {
+                unreachable!("gather stages always gather");
+            };
+            stats
+        });
+        fold_gathers(&mut record, outputs, retained.len());
         record
     }
 }

@@ -10,12 +10,13 @@
 //!
 //! Stages do not *own* scratch state; they borrow a [`StageWorkspace`]
 //! per call. The workspace is pure memo + recycled buffers (activation
-//! synthesiser, activation matrix, position lookup): rows are pure
+//! synthesiser, activation matrix, gather scratch): rows are pure
 //! functions of `(scene, seed, layer, stage)`, so a stage run against a
 //! workspace that has served any number of previous layers returns
-//! byte-identical output to one run against a fresh workspace
-//! ([`GatherStage::run_fresh`] keeps that reference path alive, and
-//! `tests/batch_determinism.rs` asserts the equivalence).
+//! byte-identical output to one run against a fresh workspace. The
+//! [`ExecMode::Serial`](crate::exec::ExecMode::Serial) oracle builds a
+//! fresh workspace per call, and `tests/batch_determinism.rs` asserts
+//! the equivalence.
 
 use focus_tensor::backend::BackendHandle;
 use focus_tensor::quant::DataType;
@@ -102,28 +103,17 @@ pub struct StageWorkspace {
 }
 
 impl StageWorkspace {
-    /// A workspace for one stage of `workload`'s stage graph, on the
-    /// process-wide active kernel backend.
-    pub fn new(workload: &Workload) -> Self {
-        StageWorkspace::new_on(workload, crate::obs::kernel_backend())
-    }
-
-    /// [`StageWorkspace::new`] on an explicit kernel backend.
-    pub fn new_on(workload: &Workload, backend: BackendHandle) -> Self {
-        StageWorkspace::with_scratch_on(workload, StageScratch::for_workload(workload), backend)
+    /// A fresh workspace for one stage of `workload`'s stage graph; the
+    /// synthesiser's noise-fill kernel dispatches through `backend`.
+    pub fn new(workload: &Workload, backend: BackendHandle) -> Self {
+        StageWorkspace::with_scratch(workload, StageScratch::for_workload(workload), backend)
     }
 
     /// A workspace pairing `workload`'s synthesiser with donated
     /// `scratch` — the warm-reuse path of streaming sessions. The
     /// scratch must have been built for the same frame grid (the
     /// session enforces geometry compatibility at `push_frame`).
-    pub fn with_scratch(workload: &Workload, scratch: StageScratch) -> Self {
-        StageWorkspace::with_scratch_on(workload, scratch, crate::obs::kernel_backend())
-    }
-
-    /// [`StageWorkspace::with_scratch`] on an explicit kernel backend:
-    /// the synthesiser's noise-fill kernel dispatches through `backend`.
-    pub fn with_scratch_on(
+    pub fn with_scratch(
         workload: &Workload,
         scratch: StageScratch,
         backend: BackendHandle,
@@ -258,8 +248,9 @@ pub struct GatherStage {
 }
 
 impl GatherStage {
-    /// Builds the stage for one gather point, on the process-wide
-    /// active kernel backend.
+    /// Builds the stage for one gather point. Every hot kernel the
+    /// stage launches (gather scoring, dtype conversion, synthesis
+    /// fill) dispatches through `backend`.
     ///
     /// The tile height is NOT scaled down with the frame count: what
     /// governs boundary statistics is the tile span measured in frames
@@ -267,14 +258,7 @@ impl GatherStage {
     /// identical at both scales. A scaled-down tile would hide the
     /// temporal twin (one frame-stride away in the packed stream) from
     /// most keys and destroy the match rate.
-    pub fn new(config: &FocusConfig, stage: Stage, dtype: DataType) -> Self {
-        GatherStage::new_on(config, stage, dtype, crate::obs::kernel_backend())
-    }
-
-    /// [`GatherStage::new`] on an explicit kernel backend: every hot
-    /// kernel the stage launches (gather scoring, dtype conversion,
-    /// synthesis fill) dispatches through `backend`.
-    pub fn new_on(
+    pub fn new(
         config: &FocusConfig,
         stage: Stage,
         dtype: DataType,
@@ -282,14 +266,7 @@ impl GatherStage {
     ) -> Self {
         GatherStage {
             stage,
-            concentrator: SimilarityConcentrator {
-                gather: crate::sic::GatherConfig {
-                    threshold: config.threshold,
-                    block: config.block,
-                },
-                vector_len: config.vector_len,
-                tile_m: config.tile_m,
-            },
+            concentrator: SimilarityConcentrator::from_config(config),
             dtype,
             backend,
         }
@@ -298,27 +275,6 @@ impl GatherStage {
     /// The kernel backend this stage dispatches through.
     pub fn backend(&self) -> BackendHandle {
         self.backend
-    }
-
-    /// The pre-workspace reference path: a fresh synthesiser, a fresh
-    /// activation allocation and the per-tile `HashMap` gather. Kept
-    /// for the serial executor mode, the workspace-reuse regression
-    /// test and the old-vs-new throughput bench.
-    pub fn run_fresh(&self, ctx: &LayerCtx<'_>) -> StageOutput {
-        let width = self.stage.width(ctx.workload.scaled_model());
-        let mut syn = ctx.workload.activation_synthesizer_on(self.backend);
-        let mut acts = syn.activations(ctx.retained, ctx.layer, self.stage, width);
-        match self.dtype {
-            DataType::Fp16 => self.backend.f16_round(&mut acts),
-            DataType::Int8 => self.backend.fake_quantize(&mut acts),
-        }
-        let stats = self
-            .concentrator
-            .gather_matrix_on(&acts, ctx.positions, self.backend);
-        StageOutput::Gathered {
-            stage: self.stage,
-            stats,
-        }
     }
 }
 
@@ -390,10 +346,11 @@ impl GatherStage {
     /// graph scheduler can overlap one layer's gathers with another
     /// layer's synthesis at any pipeline depth.
     pub fn gather(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace) -> MatrixGatherStats {
-        self.concentrator.gather_matrix_with_on(
+        self.concentrator.gather_matrix(
             &ws.scratch.acts,
             ctx.positions,
             &mut ws.scratch.gather,
+            None,
             self.backend,
         )
     }
@@ -412,15 +369,102 @@ impl GatherStage {
         cache: &TemporalCache,
         stage_index: usize,
     ) -> MatrixGatherStats {
-        self.concentrator.gather_matrix_temporal_on(
+        self.concentrator.gather_matrix(
             &ws.scratch.acts,
             ctx.positions,
-            ctx.retained,
             &mut ws.scratch.gather,
-            cache,
-            ctx.layer,
-            stage_index,
+            Some((cache, ctx.retained, ctx.layer, stage_index)),
             self.backend,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sic::gather::{gather_tile, hashmap_plan};
+    use focus_tensor::backend;
+    use focus_tensor::ops::vector_ranges;
+    use focus_vlm::{DatasetKind, ModelKind, WorkloadScale};
+
+    /// On real synthesised activations of every gather stage, at both
+    /// datapath precisions, every tile of the stage's sweep gathers
+    /// bit-identically through the flat-lookup plan and through the
+    /// `HashMap` candidate oracle, and the stage's matrix statistics
+    /// count exactly those tiles' comparisons and matches.
+    #[test]
+    fn planned_gather_matches_hashmap_oracle_on_synthesised_stages() {
+        let wl = Workload::new(
+            ModelKind::LlavaVideo7B,
+            DatasetKind::VideoMme,
+            WorkloadScale::tiny(),
+            42,
+        );
+        let config = FocusConfig::paper();
+        let scaled = wl.scaled_model();
+        let layouter = ConvLayouter::new(scaled.grid_h, scaled.grid_w);
+        let backend = backend::active();
+        let conc = SimilarityConcentrator::from_config(&config);
+        let mut total_matches = 0;
+        for dtype in [DataType::Fp16, DataType::Int8] {
+            for stage in Stage::GATHER_POINTS {
+                let gather = GatherStage::new(&config, stage, dtype, backend);
+                let mut ws = StageWorkspace::new(&wl, backend);
+                for (layer, keep_every) in [(0usize, 1usize), (7, 3)] {
+                    let retained: Vec<usize> =
+                        (0..wl.image_tokens_scaled()).step_by(keep_every).collect();
+                    let positions: Vec<Option<Fhw>> = retained
+                        .iter()
+                        .map(|&t| Some(layouter.position_of(t)))
+                        .collect();
+                    let ctx = LayerCtx {
+                        workload: &wl,
+                        layer,
+                        retained: &retained,
+                        positions: &positions,
+                    };
+                    gather.synth(&ctx, &mut ws);
+                    let acts = &ws.scratch.acts;
+                    let col_ranges = vector_ranges(acts.cols(), conc.vector_len.min(acts.cols()));
+                    let mut plan = GatherScratch::new(&layouter);
+                    let (mut matches, mut comparisons) = (0, 0);
+                    for row_start in (0..acts.rows()).step_by(conc.tile_m) {
+                        let row_count = conc.tile_m.min(acts.rows() - row_start);
+                        let block = conc.gather.block;
+                        plan.plan_tile(&positions, row_start, row_count, block);
+                        let oracle = hashmap_plan(&positions, row_start, row_count, block);
+                        for col_range in &col_ranges {
+                            let planned = gather_tile(
+                                acts,
+                                &plan,
+                                col_range.clone(),
+                                &conc.gather,
+                                None,
+                                backend,
+                            );
+                            let reference = gather_tile(
+                                acts,
+                                &oracle,
+                                col_range.clone(),
+                                &conc.gather,
+                                None,
+                                backend,
+                            );
+                            assert_eq!(
+                                planned, reference,
+                                "layer {layer}, {stage:?}, {dtype}, rows {row_start}+{row_count}, \
+                                 cols {col_range:?}"
+                            );
+                            matches += reference.matches;
+                            comparisons += reference.comparisons;
+                        }
+                    }
+                    let stats = gather.gather(&ctx, &mut ws);
+                    assert_eq!((stats.matches, stats.comparisons), (matches, comparisons));
+                    total_matches += matches;
+                }
+            }
+        }
+        assert!(total_matches > 0, "the synthesised stages must deduplicate");
     }
 }

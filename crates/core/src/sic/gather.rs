@@ -10,14 +10,13 @@
 //! vectors append to the compact buffer.
 
 use core::ops::Range;
-use std::collections::HashMap;
 
-use focus_tensor::backend::{self, BackendHandle};
+use focus_tensor::backend::BackendHandle;
 use focus_tensor::Matrix;
 
 use crate::config::BlockSize;
 use crate::sic::block::candidate_positions;
-use crate::sic::layout::{Fhw, PositionLookup};
+use crate::sic::layout::{ConvLayouter, Fhw, PositionLookup};
 use crate::sic::map::SimilarityMap;
 use crate::sic::temporal::CarryMask;
 
@@ -74,122 +73,6 @@ impl GatherResult {
     }
 }
 
-/// Gathers one tile: rows `row_start .. row_start+row_count` of `acts`,
-/// columns `col_range`. `positions[abs_row]` gives each row's decoded
-/// (F,H,W) position; `None` rows (text tokens) are never matched.
-///
-/// # Panics
-///
-/// Panics if the row/column ranges exceed `acts`.
-pub fn gather_tile(
-    acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
-    positions: &[Option<Fhw>],
-    cfg: &GatherConfig,
-) -> GatherResult {
-    gather_tile_on(
-        acts,
-        row_start,
-        row_count,
-        col_range,
-        positions,
-        cfg,
-        backend::active(),
-    )
-}
-
-/// [`gather_tile`] on an explicit kernel [`Backend`] instead of the
-/// process-wide default.
-///
-/// [`Backend`]: focus_tensor::backend::Backend
-pub fn gather_tile_on(
-    acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
-    positions: &[Option<Fhw>],
-    cfg: &GatherConfig,
-    backend: BackendHandle,
-) -> GatherResult {
-    // Position → tile-local row index, for candidate lookup. This is
-    // the reference path: it rebuilds the map per call; the measured
-    // hot path goes through [`gather_tile_planned`] with a recycled
-    // [`GatherScratch`] instead (byte-identical results — the map is
-    // only ever queried, never iterated).
-    assert!(
-        positions.len() >= row_start + row_count,
-        "positions too short"
-    );
-    let mut pos_to_row: HashMap<Fhw, usize> = HashMap::with_capacity(row_count);
-    for local in 0..row_count {
-        if let Some(p) = positions.get(row_start + local).copied().flatten() {
-            pos_to_row.insert(p, local);
-        }
-    }
-    gather_tile_core(
-        acts,
-        row_start,
-        row_count,
-        col_range,
-        cfg,
-        |local, visit| {
-            if let Some(p) = positions[row_start + local] {
-                for cand in candidate_positions(p, cfg.block) {
-                    if let Some(&cand_local) = pos_to_row.get(&cand) {
-                        if cand_local < local {
-                            visit(cand_local);
-                        }
-                    }
-                }
-            }
-        },
-        None,
-        backend,
-    )
-}
-
-/// [`gather_tile`] over a pre-populated flat [`PositionLookup`]: the
-/// caller registers the tile's rows once per **m-tile** (the lookup is
-/// identical across that tile's column groups) instead of rebuilding a
-/// `HashMap` per `(m-tile, col-tile)` pair, and candidate probes become
-/// array reads instead of `Fhw` hashes.
-pub fn gather_tile_indexed(
-    acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
-    positions: &[Option<Fhw>],
-    cfg: &GatherConfig,
-    lookup: &PositionLookup,
-) -> GatherResult {
-    assert!(
-        positions.len() >= row_start + row_count,
-        "positions too short"
-    );
-    gather_tile_core(
-        acts,
-        row_start,
-        row_count,
-        col_range,
-        cfg,
-        |local, visit| {
-            if let Some(p) = positions[row_start + local] {
-                for cand in candidate_positions(p, cfg.block) {
-                    if let Some(cand_local) = lookup.get(cand) {
-                        if cand_local < local {
-                            visit(cand_local);
-                        }
-                    }
-                }
-            }
-        },
-        None,
-        backend::active(),
-    )
-}
-
 /// Recycled scratch for the matrix-level gather sweep: the flat
 /// position lookup plus a **per-m-tile candidate plan**. The candidate
 /// set of every row depends only on positions — not on the column
@@ -202,8 +85,8 @@ pub struct GatherScratch {
     /// `offsets[local]..offsets[local+1]` indexes `cands`.
     offsets: Vec<u32>,
     cands: Vec<u32>,
-    /// The `(row_start, row_count)` the current plan was built for;
-    /// [`gather_tile_planned`] refuses a mismatching tile.
+    /// The `(row_start, row_count)` tile the current plan covers;
+    /// [`gather_tile`] gathers exactly these rows.
     planned: Option<(usize, usize)>,
     /// Recycled per-m-tile temporal carry decisions (filled by
     /// [`TemporalCache::reconcile`](crate::sic::TemporalCache::reconcile)
@@ -213,7 +96,7 @@ pub struct GatherScratch {
 
 impl GatherScratch {
     /// Scratch for tiles positioned on `layouter`'s grid.
-    pub fn new(layouter: &crate::sic::ConvLayouter) -> Self {
+    pub fn new(layouter: &ConvLayouter) -> Self {
         GatherScratch {
             lookup: PositionLookup::new(layouter),
             offsets: Vec::new(),
@@ -226,12 +109,17 @@ impl GatherScratch {
     /// Plans one m-tile: registers its rows and resolves every row's
     /// in-tile candidate list, in exactly the order the streaming
     /// sweep enumerates (block scan order, earlier rows only).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `positions` is shorter than the tile, or if a position
+    /// lies off the scratch's frame grid.
     pub fn plan_tile(
         &mut self,
         positions: &[Option<Fhw>],
         row_start: usize,
         row_count: usize,
-        block: crate::config::BlockSize,
+        block: BlockSize,
     ) {
         assert!(
             positions.len() >= row_start + row_count,
@@ -263,179 +151,58 @@ impl GatherScratch {
 
     /// The planned candidate rows of tile-local row `local`.
     #[inline]
-    pub fn row_candidates(&self, local: usize) -> &[u32] {
+    pub(crate) fn row_candidates(&self, local: usize) -> &[u32] {
         let lo = self.offsets[local] as usize;
         let hi = self.offsets[local + 1] as usize;
         &self.cands[lo..hi]
     }
 }
 
-/// [`gather_tile`] over a tile plan prepared by
-/// [`GatherScratch::plan_tile`]: the hot path of the measured phase.
+/// Gathers one tile: the rows the last [`GatherScratch::plan_tile`]
+/// call on `plan` covered, columns `col_range` of `acts`. Each row is
+/// scored against its planned candidates (block scan order, earlier
+/// rows only); `None` rows (text tokens) have none and never match.
 ///
-/// # Panics
-///
-/// Panics if the scratch's current plan is not for exactly this
-/// `(row_start, row_count)` tile — replaying another tile's candidate
-/// lists would silently corrupt the gather statistics.
-pub fn gather_tile_planned(
-    acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
-    cfg: &GatherConfig,
-    scratch: &GatherScratch,
-) -> GatherResult {
-    gather_tile_planned_on(
-        acts,
-        row_start,
-        row_count,
-        col_range,
-        cfg,
-        scratch,
-        backend::active(),
-    )
-}
-
-/// [`gather_tile_planned`] on an explicit kernel [`Backend`] — what the
-/// matrix-level sweep threads through from the pipeline config.
-///
-/// [`Backend`]: focus_tensor::backend::Backend
-pub fn gather_tile_planned_on(
-    acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
-    cfg: &GatherConfig,
-    scratch: &GatherScratch,
-    backend: BackendHandle,
-) -> GatherResult {
-    assert_eq!(
-        scratch.planned,
-        Some((row_start, row_count)),
-        "scratch plan is for a different tile"
-    );
-    gather_tile_core(
-        acts,
-        row_start,
-        row_count,
-        col_range,
-        cfg,
-        |local, visit| {
-            for &cand in scratch.row_candidates(local) {
-                visit(cand as usize);
-            }
-        },
-        None,
-        backend,
-    )
-}
-
-/// [`gather_tile_planned`] over the carry decisions a
+/// `carry` is the `(mask, col_tile)` pair a
 /// [`TemporalCache::reconcile`](crate::sic::TemporalCache::reconcile)
-/// pre-pass settled for this m-tile: a row marked carried at
+/// pre-pass settled for this m-tile, if any: a row marked carried at
 /// `col_tile` — its bytes proven a bit-exact replay of its anchored
 /// frame — takes no norm, no candidate scoring and no compact slot,
-/// and its planned comparisons are counted as avoided. Everything
-/// else runs the exact per-frame path (same bits as
-/// [`gather_tile_planned`], except that carried rows drop out of the
-/// candidate pool). The gather itself never touches the cache: all
+/// and its planned comparisons are counted as avoided. Every other row
+/// runs the exact per-frame path, except that carried rows drop out of
+/// the candidate pool. The gather itself never touches the cache: all
 /// proof-checking happened in the reconcile pass.
-///
-/// # Panics
-///
-/// Panics if the scratch plan is not for exactly this tile.
-#[allow(clippy::too_many_arguments)] // mirrors gather_tile_planned + the carry pair
-pub fn gather_tile_planned_temporal(
-    acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
-    cfg: &GatherConfig,
-    scratch: &GatherScratch,
-    mask: &CarryMask,
-    col_tile: usize,
-) -> GatherResult {
-    gather_tile_planned_temporal_on(
-        acts,
-        row_start,
-        row_count,
-        col_range,
-        cfg,
-        scratch,
-        mask,
-        col_tile,
-        backend::active(),
-    )
-}
-
-/// [`gather_tile_planned_temporal`] on an explicit kernel [`Backend`].
-///
-/// [`Backend`]: focus_tensor::backend::Backend
-#[allow(clippy::too_many_arguments)] // mirrors gather_tile_planned + the carry pair
-pub fn gather_tile_planned_temporal_on(
-    acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
-    col_range: Range<usize>,
-    cfg: &GatherConfig,
-    scratch: &GatherScratch,
-    mask: &CarryMask,
-    col_tile: usize,
-    backend: BackendHandle,
-) -> GatherResult {
-    assert_eq!(
-        scratch.planned,
-        Some((row_start, row_count)),
-        "scratch plan is for a different tile"
-    );
-    gather_tile_core(
-        acts,
-        row_start,
-        row_count,
-        col_range,
-        cfg,
-        |local, visit| {
-            for &cand in scratch.row_candidates(local) {
-                visit(cand as usize);
-            }
-        },
-        Some((mask, col_tile)),
-        backend,
-    )
-}
-
-/// The tile sweep itself. `cands_for(local, visit)` must call `visit`
-/// with the tile-local indices of `local`'s candidates, in block scan
-/// order, earlier rows only — the contract every caller above
-/// discharges identically.
 ///
 /// All numeric work — norms, candidate scoring, fidelity — dispatches
 /// through `backend`; this function only owns the control flow. Carry
-/// decisions are mask-driven (settled in the temporal reconcile
-/// pre-pass, never by scores), so the whole tile's norms and candidate
-/// probes are known up front: the sweep launches **one**
-/// [`Backend::row_norms`](focus_tensor::backend::Backend::row_norms)
+/// decisions are mask-driven (never by scores), so the whole tile's
+/// norms and candidate probes are known up front: the sweep launches
+/// **one** [`Backend::row_norms`](focus_tensor::backend::Backend::row_norms)
 /// over every live row and **one**
 /// [`Backend::score_pairs`](focus_tensor::backend::Backend::score_pairs)
 /// over every `(row, candidate)` probe (the SIMD backend runs eight
 /// rows/pairs per pass), then the sequential best-match walk just reads
 /// the precomputed scores — comparison counts and tie-breaking are
-/// identical to the historical one-candidate-at-a-time loop. Matched
-/// rows' fidelity is a second batched launch after the walk, scored
-/// against each representative's *source* row (byte-identical to the
-/// compact copy, so the bits cannot differ).
-#[allow(clippy::too_many_arguments)] // the tile tuple + plan/carry context + backend
-fn gather_tile_core(
+/// identical to a one-candidate-at-a-time loop. Matched rows' fidelity
+/// is a second batched launch after the walk, scored against each
+/// representative's *source* row (byte-identical to the compact copy,
+/// so the bits cannot differ).
+///
+/// # Panics
+///
+/// Panics if `plan` holds no tile plan, or if the tile's rows or
+/// columns exceed `acts`.
+pub fn gather_tile(
     acts: &Matrix,
-    row_start: usize,
-    row_count: usize,
+    plan: &GatherScratch,
     col_range: Range<usize>,
     cfg: &GatherConfig,
-    mut cands_for: impl FnMut(usize, &mut dyn FnMut(usize)),
-    temporal: Option<(&CarryMask, usize)>,
+    carry: Option<(&CarryMask, usize)>,
     backend: BackendHandle,
 ) -> GatherResult {
+    let (row_start, row_count) = plan
+        .planned
+        .expect("gather_tile needs a tile planned by GatherScratch::plan_tile");
     assert!(
         row_start + row_count <= acts.rows(),
         "row range out of bounds"
@@ -445,7 +212,7 @@ fn gather_tile_core(
     let width = col_range.len();
     let row_of = |local: usize| -> &[f32] { &acts.row(row_start + local)[col_range.clone()] };
     let carried_at = |local: usize| -> Option<u32> {
-        temporal.and_then(|(mask, col_tile)| mask.carried(local, col_tile))
+        carry.and_then(|(mask, col_tile)| mask.carried(local, col_tile))
     };
 
     let mut map = SimilarityMap::with_capacity(row_count);
@@ -483,16 +250,17 @@ fn gather_tile_core(
     let mut cand_idx: Vec<u32> = Vec::new();
     cand_offsets.push(0);
     for local in 0..row_count {
+        let planned = plan.row_candidates(local);
         if carried_at(local).is_some() {
-            cands_for(local, &mut |_| avoided += 1);
+            avoided += planned.len() as u64;
         } else {
-            cands_for(local, &mut |cand_local| {
-                if carried_at(cand_local).is_some() {
+            for &cand in planned {
+                if carried_at(cand as usize).is_some() {
                     avoided += 1;
                 } else {
-                    cand_idx.push(cand_local as u32);
+                    cand_idx.push(cand);
                 }
-            });
+            }
         }
         cand_offsets.push(cand_idx.len() as u32);
     }
@@ -515,8 +283,7 @@ fn gather_tile_core(
     }
 
     // The sequential walk: carried replay, best-match selection over
-    // the precomputed scores, compact append — byte-identical control
-    // flow to the historical loop.
+    // the precomputed scores, compact append.
     //
     // Compact slot → source row: a compact row is byte-identical to
     // its source row, so its (deterministic) norm is too — scoring
@@ -602,15 +369,71 @@ fn gather_tile_core(
     }
 }
 
+/// The reference candidate source: a position → tile-local row
+/// `HashMap` rebuilt for every tile, resolving the candidates
+/// [`GatherScratch::plan_tile`] resolves through its flat lookup. The
+/// returned plan feeds [`gather_tile`] like any other; the oracle tests
+/// require it to gather bit-identically to the flat-lookup plan.
+#[cfg(test)]
+pub(crate) fn hashmap_plan(
+    positions: &[Option<Fhw>],
+    row_start: usize,
+    row_count: usize,
+    block: BlockSize,
+) -> GatherScratch {
+    use std::collections::HashMap;
+
+    let mut pos_to_row: HashMap<Fhw, usize> = HashMap::with_capacity(row_count);
+    for local in 0..row_count {
+        if let Some(p) = positions[row_start + local] {
+            pos_to_row.insert(p, local);
+        }
+    }
+    let mut plan = GatherScratch::new(&ConvLayouter::new(1, 1));
+    plan.offsets.push(0);
+    for local in 0..row_count {
+        if let Some(p) = positions[row_start + local] {
+            for cand in candidate_positions(p, block) {
+                if let Some(&cand_local) = pos_to_row.get(&cand) {
+                    if cand_local < local {
+                        plan.cands.push(cand_local as u32);
+                    }
+                }
+            }
+        }
+        plan.offsets.push(plan.cands.len() as u32);
+    }
+    plan.planned = Some((row_start, row_count));
+    plan
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::kernel_backend;
+    use focus_tensor::backend;
+    use proptest::prelude::*;
 
     fn cfg() -> GatherConfig {
         GatherConfig {
             threshold: 0.9,
             block: BlockSize::DEFAULT,
         }
+    }
+
+    /// Plans rows `row_start..row_start + row_count` (positions on a
+    /// 4×4 grid) and gathers columns `col_range` of them.
+    fn gather(
+        acts: &Matrix,
+        row_start: usize,
+        row_count: usize,
+        col_range: Range<usize>,
+        positions: &[Option<Fhw>],
+        cfg: &GatherConfig,
+    ) -> GatherResult {
+        let mut plan = GatherScratch::new(&ConvLayouter::new(4, 4));
+        plan.plan_tile(positions, row_start, row_count, cfg.block);
+        gather_tile(acts, &plan, col_range, cfg, None, kernel_backend())
     }
 
     /// Tokens laid out on a 1-frame 2×2 grid; rows 0..4 in scan order.
@@ -631,7 +454,7 @@ mod tests {
             vec![0.0, 1.0, 0.0, 0.0],
             vec![1.0, 0.0, 0.0, 0.0],
         ]);
-        let r = gather_tile(&acts, 0, 4, 0..4, &positions_2x2(), &cfg());
+        let r = gather(&acts, 0, 4, 0..4, &positions_2x2(), &cfg());
         assert_eq!(r.p(), 2);
         assert_eq!(r.matches, 2);
         // Rows 1 and 3 map to row 0's compact slot.
@@ -643,7 +466,7 @@ mod tests {
     #[test]
     fn dissimilar_rows_stay_unique() {
         let acts = Matrix::identity(4);
-        let r = gather_tile(&acts, 0, 4, 0..4, &positions_2x2(), &cfg());
+        let r = gather(&acts, 0, 4, 0..4, &positions_2x2(), &cfg());
         assert_eq!(r.p(), 4);
         assert_eq!(r.matches, 0);
         assert!(r.comparisons > 0);
@@ -653,7 +476,7 @@ mod tests {
     fn text_rows_never_match() {
         let acts = Matrix::from_rows(&[vec![1.0, 0.0], vec![1.0, 0.0]]);
         let positions = vec![Some(Fhw { f: 0, r: 0, c: 0 }), None];
-        let r = gather_tile(
+        let r = gather(
             &acts,
             0,
             2,
@@ -673,7 +496,7 @@ mod tests {
         // compact slot (chained reuse, Fig. 6 ④).
         let v = vec![1.0, 1.0, 0.0, 0.0];
         let acts = Matrix::from_rows(&[v.clone(), v.clone(), vec![0.0, 0.0, 5.0, 0.0], v]);
-        let r = gather_tile(&acts, 0, 4, 0..4, &positions_2x2(), &cfg());
+        let r = gather(&acts, 0, 4, 0..4, &positions_2x2(), &cfg());
         assert_eq!(r.p(), 2);
         assert_eq!(r.map.representative(3), 0);
     }
@@ -684,7 +507,7 @@ mod tests {
         // in tile 0, so nothing matches even though values repeat.
         let v = vec![2.0, 0.0];
         let acts = Matrix::from_rows(&[v.clone(), v.clone(), v.clone(), v]);
-        let r = gather_tile(&acts, 2, 2, 0..2, &positions_2x2(), &cfg());
+        let r = gather(&acts, 2, 2, 0..2, &positions_2x2(), &cfg());
         // Row 2's only block candidate (0,0) lives in tile 0 → unique;
         // row 3 matches row 2 inside the tile → one compact vector.
         assert_eq!(r.matches, 1);
@@ -701,9 +524,9 @@ mod tests {
             Some(Fhw { f: 0, r: 0, c: 0 }),
             Some(Fhw { f: 0, r: 0, c: 1 }),
         ];
-        let strict = gather_tile(&acts, 0, 2, 0..2, &positions, &cfg());
+        let strict = gather(&acts, 0, 2, 0..2, &positions, &cfg());
         assert_eq!(strict.matches, 0);
-        let loose = gather_tile(
+        let loose = gather(
             &acts,
             0,
             2,
@@ -730,54 +553,22 @@ mod tests {
                 })
             })
             .collect();
-        let r = gather_tile(&acts, 0, 16, 0..8, &positions, &cfg());
+        let r = gather(&acts, 0, 16, 0..8, &positions, &cfg());
         assert_eq!(r.cycles, 8 * 16);
     }
 
     #[test]
-    fn indexed_lookup_path_is_bit_identical() {
-        use crate::sic::layout::ConvLayouter;
-        let layouter = ConvLayouter::new(4, 4);
-        let positions: Vec<Option<Fhw>> = (0..32)
-            .map(|t| {
-                // Sprinkle in positionless (text) rows.
-                if t % 7 == 3 {
-                    None
-                } else {
-                    Some(layouter.position_of(t))
-                }
-            })
-            .collect();
-        let acts = Matrix::from_fn(32, 16, |r, c| ((r / 2 + c) as f32).sin());
-        let mut lookup = PositionLookup::new(&layouter);
-        for (row_start, row_count) in [(0usize, 16usize), (16, 16), (8, 8)] {
-            lookup.begin_tile();
-            for local in 0..row_count {
-                if let Some(p) = positions[row_start + local] {
-                    lookup.insert(p, local);
-                }
-            }
-            for col_range in [0..16, 0..8, 8..16] {
-                let reference = gather_tile(
-                    &acts,
-                    row_start,
-                    row_count,
-                    col_range.clone(),
-                    &positions,
-                    &cfg(),
-                );
-                let indexed = gather_tile_indexed(
-                    &acts,
-                    row_start,
-                    row_count,
-                    col_range,
-                    &positions,
-                    &cfg(),
-                    &lookup,
-                );
-                assert_eq!(indexed, reference);
-            }
-        }
+    #[should_panic(expected = "plan_tile")]
+    fn gathering_without_a_plan_panics() {
+        let plan = GatherScratch::new(&ConvLayouter::new(4, 4));
+        gather_tile(
+            &Matrix::zeros(4, 4),
+            &plan,
+            0..4,
+            &cfg(),
+            None,
+            kernel_backend(),
+        );
     }
 
     #[test]
@@ -787,8 +578,74 @@ mod tests {
             Some(Fhw { f: 0, r: 0, c: 0 }),
             Some(Fhw { f: 0, r: 0, c: 1 }),
         ];
-        let r = gather_tile(&acts, 0, 2, 0..2, &positions, &cfg());
+        let r = gather(&acts, 0, 2, 0..2, &positions, &cfg());
         // 1 unique vector × 2 elems × 2 B + 2 map entries × 2 B.
         assert_eq!(r.compressed_bytes(), 4 + 4);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The flat-lookup plan gathers bit-identically to the
+        /// `HashMap` oracle, field for field: random pruned multi-frame
+        /// positions with interleaved text rows, several m-tile splits
+        /// (one scratch recycled across all of them) and column ranges,
+        /// thresholds, and both numeric backends.
+        #[test]
+        fn planned_gather_matches_hashmap_oracle(
+            grid_h in 1usize..6,
+            grid_w in 1usize..6,
+            frames in 1usize..4,
+            keep_every in 1usize..4,
+            text_every in 2usize..9,
+            width in 1usize..12,
+            families in 1usize..6,
+            seed in 0u64..1000,
+        ) {
+            let layouter = ConvLayouter::new(grid_h, grid_w);
+            let tokens = frames * layouter.tokens_per_frame();
+            let mut positions: Vec<Option<Fhw>> = Vec::new();
+            for t in (0..tokens).step_by(keep_every) {
+                if positions.len() % text_every == text_every - 1 {
+                    positions.push(None);
+                }
+                positions.push(Some(layouter.position_of(t)));
+            }
+            let rows = positions.len();
+            // Rows drawn from a few value families, so that exact and
+            // near matches both occur; the half offset keeps every row
+            // non-zero.
+            let acts = Matrix::from_fn(rows, width, |r, c| {
+                let family = ((r as u64 * 2_654_435_761) ^ seed) % families as u64;
+                let jitter = if r % 3 == 0 { 0.0 } else { (r % 5) as f32 * 0.1 };
+                ((family * 131 + c as u64 * 17) % 97) as f32 - 48.5 + jitter
+            });
+            let half = width / 2;
+            let col_ranges: Vec<Range<usize>> = [0..width, 0..half, half..width]
+                .into_iter()
+                .filter(|r| !r.is_empty())
+                .collect();
+            let mut scratch = GatherScratch::new(&layouter);
+            for tile_m in [rows, rows.div_ceil(2), 3] {
+                for row_start in (0..rows).step_by(tile_m) {
+                    let row_count = tile_m.min(rows - row_start);
+                    let oracle =
+                        hashmap_plan(&positions, row_start, row_count, BlockSize::DEFAULT);
+                    scratch.plan_tile(&positions, row_start, row_count, BlockSize::DEFAULT);
+                    for col_range in &col_ranges {
+                        for threshold in [0.5f32, 0.9, 0.99] {
+                            let cfg = GatherConfig { threshold, block: BlockSize::DEFAULT };
+                            for be in [backend::scalar_ref(), backend::simd()] {
+                                let planned =
+                                    gather_tile(&acts, &scratch, col_range.clone(), &cfg, None, be);
+                                let reference =
+                                    gather_tile(&acts, &oracle, col_range.clone(), &cfg, None, be);
+                                prop_assert_eq!(planned, reference);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

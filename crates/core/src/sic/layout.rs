@@ -107,7 +107,7 @@ impl ConvLayouter {
 /// layers or stages can never leak into a lookup. The array grows to
 /// the high-water frame count and is then allocation-free.
 #[derive(Clone, Debug)]
-pub struct PositionLookup {
+pub(crate) struct PositionLookup {
     grid_h: usize,
     grid_w: usize,
     epoch: u32,
@@ -116,7 +116,7 @@ pub struct PositionLookup {
 
 impl PositionLookup {
     /// A lookup for positions on `layouter`'s frame grid.
-    pub fn new(layouter: &ConvLayouter) -> Self {
+    pub(crate) fn new(layouter: &ConvLayouter) -> Self {
         PositionLookup {
             grid_h: layouter.grid_h,
             grid_w: layouter.grid_w,
@@ -133,7 +133,7 @@ impl PositionLookup {
 
     /// Starts a new tile generation: previously inserted entries become
     /// invisible without touching the array.
-    pub fn begin_tile(&mut self) {
+    pub(crate) fn begin_tile(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Epoch counter wrapped: stale stamps could alias the new
@@ -144,7 +144,19 @@ impl PositionLookup {
     }
 
     /// Registers `p` as tile-local row `local` in the current tile.
-    pub fn insert(&mut self, p: Fhw, local: usize) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` lies off the grid: its flat index would alias
+    /// another position's slot (on a 4×4 grid, `(f0,r4,c1)` and
+    /// `(f1,r0,c1)` share one).
+    pub(crate) fn insert(&mut self, p: Fhw, local: usize) {
+        assert!(
+            p.r < self.grid_h && p.c < self.grid_w,
+            "position {p:?} is off the {}x{} grid",
+            self.grid_h,
+            self.grid_w
+        );
         let idx = self.index_of(p);
         if idx >= self.slots.len() {
             self.slots.resize(idx + 1, (0, 0));
@@ -154,7 +166,7 @@ impl PositionLookup {
 
     /// Looks up the tile-local row of `p` in the current tile.
     #[inline]
-    pub fn get(&self, p: Fhw) -> Option<usize> {
+    pub(crate) fn get(&self, p: Fhw) -> Option<usize> {
         let idx = self.index_of(p);
         match self.slots.get(idx) {
             // `epoch` is always ≥ 1, so default-initialised `(0, 0)`
@@ -286,6 +298,16 @@ mod tests {
         assert_eq!(lookup.get(p), None, "stale entry visible after begin_tile");
         // Unseen positions (beyond the high-water mark) are absent.
         assert_eq!(lookup.get(Fhw { f: 9, r: 0, c: 0 }), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "off the 4x4 grid")]
+    fn position_lookup_rejects_off_grid_positions() {
+        // (f0,r4,c1) would alias (f1,r0,c1)'s slot on a 4×4 grid.
+        let mut lookup = PositionLookup::new(&ConvLayouter::new(4, 4));
+        lookup.begin_tile();
+        lookup.insert(Fhw { f: 1, r: 0, c: 1 }, 0);
+        lookup.insert(Fhw { f: 0, r: 4, c: 1 }, 1);
     }
 
     #[test]

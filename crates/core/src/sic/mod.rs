@@ -22,19 +22,15 @@ pub mod map;
 pub mod scatter;
 pub mod temporal;
 
-pub use gather::{
-    gather_tile, gather_tile_indexed, gather_tile_on, gather_tile_planned, gather_tile_planned_on,
-    gather_tile_planned_temporal, gather_tile_planned_temporal_on, GatherConfig, GatherResult,
-    GatherScratch,
-};
-pub use layout::{BankAddress, ConvLayouter, Fhw, PositionLookup};
+pub use gather::{gather_tile, GatherConfig, GatherResult, GatherScratch};
+pub use layout::{BankAddress, ConvLayouter, Fhw};
 pub use map::SimilarityMap;
-pub use scatter::{scatter, scatter_cycles, scatter_on, scatter_ops};
+pub use scatter::{scatter, scatter_cycles, scatter_ops};
 pub use temporal::{
     CarryMask, TemporalCache, TemporalCacheConfig, TemporalCounters, TemporalSnapshot,
 };
 
-use focus_tensor::backend::{self, BackendHandle, KernelLaunch};
+use focus_tensor::backend::{BackendHandle, KernelLaunch};
 use focus_tensor::ops::vector_ranges;
 use focus_tensor::Matrix;
 
@@ -125,124 +121,38 @@ impl SimilarityConcentrator {
     /// by `tile_m` and columns by `vector_len`.
     ///
     /// `positions[row]` is each row's decoded (F,H,W) position (`None`
-    /// for text tokens).
-    pub fn gather_matrix(&self, acts: &Matrix, positions: &[Option<Fhw>]) -> MatrixGatherStats {
-        self.gather_matrix_impl(acts, positions, None, None, backend::active())
-    }
-
-    /// [`SimilarityConcentrator::gather_matrix`] on an explicit kernel
-    /// [`Backend`].
+    /// for text tokens). `scratch` is recycled across calls: each
+    /// m-tile's candidate neighbourhoods are resolved **once** through
+    /// its flat position lookup and replayed across all of the tile's
+    /// column groups; the statistics do not depend on what the scratch
+    /// served before. All numeric work dispatches through `backend`.
     ///
-    /// [`Backend`]: focus_tensor::backend::Backend
-    pub fn gather_matrix_on(
-        &self,
-        acts: &Matrix,
-        positions: &[Option<Fhw>],
-        backend: BackendHandle,
-    ) -> MatrixGatherStats {
-        self.gather_matrix_impl(acts, positions, None, None, backend)
-    }
-
-    /// [`SimilarityConcentrator::gather_matrix`] over a recycled
-    /// [`GatherScratch`]: each m-tile's candidate neighbourhoods are
-    /// resolved **once** through the flat position lookup and replayed
-    /// across all of the tile's column groups, instead of rebuilding a
-    /// `HashMap` and re-enumerating block neighbourhoods per
-    /// `(m-tile, col-tile)` pair. Statistics are byte-identical to
-    /// [`SimilarityConcentrator::gather_matrix`] (asserted in
-    /// `tests/batch_determinism.rs`).
-    pub fn gather_matrix_with(
-        &self,
-        acts: &Matrix,
-        positions: &[Option<Fhw>],
-        scratch: &mut GatherScratch,
-    ) -> MatrixGatherStats {
-        self.gather_matrix_impl(acts, positions, Some(scratch), None, backend::active())
-    }
-
-    /// [`SimilarityConcentrator::gather_matrix_with`] on an explicit
-    /// kernel [`Backend`] — the handle the stage pipeline threads down
-    /// from [`FocusPipeline::backend`](crate::FocusPipeline).
+    /// `temporal` is the optional cross-frame probe `(cache, tokens,
+    /// layer, stage)`: each m-tile is settled against the cache's
+    /// `(layer, stage)` plane in one [`TemporalCache::reconcile`] pass —
+    /// the plane is locked once per m-tile, byte-identical rows become
+    /// **carried** entries and moved rows are re-committed — and the
+    /// per-column-tile sweeps then read the resulting carry mask without
+    /// touching the cache (see [`temporal`]). `tokens[row]` keys each
+    /// row to its absolute token index across frames. With a cold or
+    /// never-hitting cache the statistics are identical to a `None`
+    /// probe except for the probe counters.
     ///
-    /// [`Backend`]: focus_tensor::backend::Backend
-    pub fn gather_matrix_with_on(
-        &self,
-        acts: &Matrix,
-        positions: &[Option<Fhw>],
-        scratch: &mut GatherScratch,
-        backend: BackendHandle,
-    ) -> MatrixGatherStats {
-        self.gather_matrix_impl(acts, positions, Some(scratch), None, backend)
-    }
-
-    /// [`SimilarityConcentrator::gather_matrix_with`] with a
-    /// cross-frame temporal probe: each m-tile is settled against the
-    /// cache's `(layer, stage)` plane in one
-    /// [`TemporalCache::reconcile`] pass — the plane is locked once
-    /// per m-tile, byte-identical rows become **carried** entries and
-    /// moved rows are re-committed — and the per-column-tile sweeps
-    /// then read the resulting carry mask without touching the cache
-    /// (see [`temporal`]). `tokens[row]` keys each row to its absolute
-    /// token index across frames. With a cold or never-hitting cache
-    /// the statistics are identical to the per-frame path except for
-    /// the probe counters.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gather_matrix_temporal(
-        &self,
-        acts: &Matrix,
-        positions: &[Option<Fhw>],
-        tokens: &[usize],
-        scratch: &mut GatherScratch,
-        cache: &TemporalCache,
-        layer: usize,
-        stage: usize,
-    ) -> MatrixGatherStats {
-        self.gather_matrix_temporal_on(
-            acts,
-            positions,
-            tokens,
-            scratch,
-            cache,
-            layer,
-            stage,
-            backend::active(),
-        )
-    }
-
-    /// [`SimilarityConcentrator::gather_matrix_temporal`] on an
-    /// explicit kernel [`Backend`].
+    /// # Panics
     ///
-    /// [`Backend`]: focus_tensor::backend::Backend
-    #[allow(clippy::too_many_arguments)]
-    pub fn gather_matrix_temporal_on(
+    /// Panics if a position lies off the scratch's frame grid, or if
+    /// `tokens` is shorter than `acts`.
+    pub fn gather_matrix(
         &self,
         acts: &Matrix,
         positions: &[Option<Fhw>],
-        tokens: &[usize],
         scratch: &mut GatherScratch,
-        cache: &TemporalCache,
-        layer: usize,
-        stage: usize,
-        backend: BackendHandle,
-    ) -> MatrixGatherStats {
-        assert!(tokens.len() >= acts.rows(), "tokens shorter than matrix");
-        self.gather_matrix_impl(
-            acts,
-            positions,
-            Some(scratch),
-            Some((cache, tokens, layer, stage)),
-            backend,
-        )
-    }
-
-    fn gather_matrix_impl(
-        &self,
-        acts: &Matrix,
-        positions: &[Option<Fhw>],
-        mut scratch: Option<&mut GatherScratch>,
         temporal: Option<(&TemporalCache, &[usize], usize, usize)>,
         backend: BackendHandle,
     ) -> MatrixGatherStats {
+        if let Some((_, tokens, ..)) = temporal {
+            assert!(tokens.len() >= acts.rows(), "tokens shorter than matrix");
+        }
         let width = acts.cols();
         // One coarse launch record for the whole matrix sweep (the
         // numeric backends drop it; the trace backend logs it).
@@ -272,53 +182,29 @@ impl SimilarityConcentrator {
                 continue;
             }
             stats.tile_heights.push(row_count);
-            if let Some(scratch) = scratch.as_deref_mut() {
-                scratch.plan_tile(positions, row_start, row_count, self.gather.block);
-                if let Some((cache, tokens, layer, stage)) = temporal {
-                    cache.reconcile(
-                        layer,
-                        stage,
-                        acts,
-                        row_start,
-                        row_count,
-                        v_len,
-                        tokens,
-                        &mut scratch.carry,
-                    );
-                }
+            scratch.plan_tile(positions, row_start, row_count, self.gather.block);
+            if let Some((cache, tokens, layer, stage)) = temporal {
+                cache.reconcile(
+                    layer,
+                    stage,
+                    acts,
+                    row_start,
+                    row_count,
+                    v_len,
+                    tokens,
+                    &mut scratch.carry,
+                );
             }
             for (ct, col_range) in col_ranges.iter().enumerate() {
-                let r = match (scratch.as_deref(), temporal) {
-                    (Some(scratch), Some(_)) => gather_tile_planned_temporal_on(
-                        acts,
-                        row_start,
-                        row_count,
-                        col_range.clone(),
-                        &self.gather,
-                        scratch,
-                        &scratch.carry,
-                        ct,
-                        backend,
-                    ),
-                    (Some(scratch), None) => gather_tile_planned_on(
-                        acts,
-                        row_start,
-                        row_count,
-                        col_range.clone(),
-                        &self.gather,
-                        scratch,
-                        backend,
-                    ),
-                    (None, _) => gather_tile_on(
-                        acts,
-                        row_start,
-                        row_count,
-                        col_range.clone(),
-                        positions,
-                        &self.gather,
-                        backend,
-                    ),
-                };
+                let carry = temporal.map(|_| (&scratch.carry, ct));
+                let r = gather_tile(
+                    acts,
+                    scratch,
+                    col_range.clone(),
+                    &self.gather,
+                    carry,
+                    backend,
+                );
                 stats.tile_p.push(r.p());
                 stats.total_vectors += row_count as u64;
                 stats.unique_vectors += r.p() as u64;
@@ -354,6 +240,7 @@ pub fn matcher_overlap_ratio(k: usize, pe_rows: usize, block_cells: usize) -> f6
 mod tests {
     use super::*;
     use crate::config::BlockSize;
+    use crate::obs::kernel_backend;
 
     fn grid_positions(frames: usize, h: usize, w: usize) -> Vec<Option<Fhw>> {
         let mut out = Vec::new();
@@ -378,12 +265,26 @@ mod tests {
         }
     }
 
+    /// A fresh gather scratch for the 4×4 test grids.
+    fn scratch() -> GatherScratch {
+        GatherScratch::new(&ConvLayouter::new(4, 4))
+    }
+
+    /// Gathers `acts` without a temporal probe on a fresh scratch.
+    fn gather(
+        conc: &SimilarityConcentrator,
+        acts: &Matrix,
+        positions: &[Option<Fhw>],
+    ) -> MatrixGatherStats {
+        conc.gather_matrix(acts, positions, &mut scratch(), None, kernel_backend())
+    }
+
     #[test]
     fn fully_redundant_matrix_concentrates_hard() {
         // Every token identical → only block-unreachable rows stay.
         let positions = grid_positions(2, 4, 4);
         let acts = Matrix::from_fn(32, 64, |_, c| (c as f32).sin());
-        let stats = concentrator(1024, 32).gather_matrix(&acts, &positions);
+        let stats = gather(&concentrator(1024, 32), &acts, &positions);
         assert!(stats.retained_ratio() < 0.1, "{}", stats.retained_ratio());
         assert!(stats.compression() > 5.0);
         assert_eq!(stats.tile_p.len(), 2); // one m-tile × two col tiles
@@ -394,7 +295,7 @@ mod tests {
     fn random_matrix_stays_dense() {
         let positions = grid_positions(2, 4, 4);
         let acts = Matrix::from_fn(32, 64, |r, c| ((r * 97 + c * 31) % 64) as f32 - 31.0);
-        let stats = concentrator(1024, 32).gather_matrix(&acts, &positions);
+        let stats = gather(&concentrator(1024, 32), &acts, &positions);
         assert_eq!(stats.retained_ratio(), 1.0);
         assert_eq!(stats.matches, 0);
     }
@@ -404,8 +305,8 @@ mod tests {
         // The Fig. 10(a) mechanism: tile boundaries hide candidates.
         let positions = grid_positions(4, 4, 4);
         let acts = Matrix::from_fn(64, 32, |_, c| (c as f32).cos());
-        let big = concentrator(64, 32).gather_matrix(&acts, &positions);
-        let small = concentrator(8, 32).gather_matrix(&acts, &positions);
+        let big = gather(&concentrator(64, 32), &acts, &positions);
+        let small = gather(&concentrator(8, 32), &acts, &positions);
         assert!(small.unique_vectors > big.unique_vectors);
     }
 
@@ -423,8 +324,8 @@ mod tests {
                 0.0
             }
         });
-        let fine = concentrator(1024, 32).gather_matrix(&acts, &positions);
-        let coarse = concentrator(1024, usize::MAX).gather_matrix(&acts, &positions);
+        let fine = gather(&concentrator(1024, 32), &acts, &positions);
+        let coarse = gather(&concentrator(1024, usize::MAX), &acts, &positions);
         assert!(fine.matches > 0, "shared half must deduplicate");
         assert_eq!(coarse.matches, 0, "full-token similarity is too coarse");
     }
@@ -433,7 +334,7 @@ mod tests {
     fn tile_p_aligns_with_gemm_subtile_layout() {
         let positions = grid_positions(2, 4, 4);
         let acts = Matrix::from_fn(32, 96, |_, c| (c as f32).sin());
-        let stats = concentrator(16, 32).gather_matrix(&acts, &positions);
+        let stats = gather(&concentrator(16, 32), &acts, &positions);
         // 2 m-tiles × 3 col tiles.
         assert_eq!(stats.tile_p.len(), 6);
         assert_eq!(stats.tile_heights, vec![16, 16]);
@@ -443,23 +344,28 @@ mod tests {
     fn fidelity_is_one_for_unique_rows() {
         let positions = grid_positions(1, 2, 2);
         let acts = Matrix::identity(4);
-        let stats = concentrator(1024, 4).gather_matrix(&acts, &positions);
+        let stats = gather(&concentrator(1024, 4), &acts, &positions);
         assert!(stats.row_fidelity.iter().all(|&f| (f - 1.0).abs() < 1e-6));
     }
 
     #[test]
     fn recycled_scratch_stats_are_byte_identical() {
-        let layouter = ConvLayouter::new(4, 4);
-        let mut scratch = GatherScratch::new(&layouter);
+        let mut reused_scratch = scratch();
         let conc = concentrator(16, 32);
         // Reuse one scratch across several matrices (as the stage
-        // workspace does across layers); every call must match the
-        // fresh HashMap-per-tile reference.
+        // workspace does across layers); every call must match a fresh
+        // scratch.
         for seed in 0..3 {
             let positions = grid_positions(2, 4, 4);
             let acts = Matrix::from_fn(32, 64, |r, c| ((r * 3 + c + seed) as f32 * 0.7).sin());
-            let reference = conc.gather_matrix(&acts, &positions);
-            let reused = conc.gather_matrix_with(&acts, &positions, &mut scratch);
+            let reference = gather(&conc, &acts, &positions);
+            let reused = conc.gather_matrix(
+                &acts,
+                &positions,
+                &mut reused_scratch,
+                None,
+                kernel_backend(),
+            );
             assert_eq!(reused, reference);
         }
     }

@@ -6,12 +6,14 @@
 //! accumulation. A bank of `2a` accumulators (Table I: 64) absorbs the
 //! reconstructed stream; Fig. 10(d) sweeps that width.
 
-use focus_tensor::backend::{self, BackendHandle};
+use focus_tensor::backend::BackendHandle;
 use focus_tensor::Matrix;
 
 use crate::sic::map::SimilarityMap;
 
-/// Reconstructs the full `m × n` tile from `p × n` partial sums.
+/// Reconstructs the full `m × n` tile from `p × n` partial sums. The
+/// map is resolved to a flat representative list here; the row replay
+/// itself is `backend`'s scatter kernel.
 ///
 /// # Panics
 ///
@@ -19,16 +21,7 @@ use crate::sic::map::SimilarityMap;
 /// or if the map contains temporally **carried** rows — their partial
 /// sums live in the previous frame's replay, not in `partial` (the
 /// `representative` resolution below enforces this).
-pub fn scatter(partial: &Matrix, map: &SimilarityMap) -> Matrix {
-    scatter_on(partial, map, backend::active())
-}
-
-/// [`scatter`] on an explicit kernel [`Backend`]: the map is resolved
-/// to a flat representative list here, and the row replay itself is
-/// the backend's scatter kernel.
-///
-/// [`Backend`]: focus_tensor::backend::Backend
-pub fn scatter_on(partial: &Matrix, map: &SimilarityMap, backend: BackendHandle) -> Matrix {
+pub fn scatter(partial: &Matrix, map: &SimilarityMap, backend: BackendHandle) -> Matrix {
     assert_eq!(
         map.compact_len(),
         partial.rows(),
@@ -60,14 +53,22 @@ pub fn scatter_ops(m: usize, n: usize, k_subtiles: usize) -> u128 {
 mod tests {
     use super::*;
     use crate::config::BlockSize;
-    use crate::sic::gather::{gather_tile, GatherConfig};
-    use crate::sic::layout::Fhw;
+    use crate::obs::kernel_backend;
+    use crate::sic::gather::{gather_tile, GatherConfig, GatherResult, GatherScratch};
+    use crate::sic::layout::{ConvLayouter, Fhw};
+
+    /// Gathers all rows of `acts` (positions on a 2×2 grid) as one tile.
+    fn gather_all(acts: &Matrix, positions: &[Option<Fhw>], cfg: &GatherConfig) -> GatherResult {
+        let mut plan = GatherScratch::new(&ConvLayouter::new(2, 2));
+        plan.plan_tile(positions, 0, acts.rows(), cfg.block);
+        gather_tile(acts, &plan, 0..acts.cols(), cfg, None, kernel_backend())
+    }
 
     #[test]
     fn scatter_replays_partial_rows() {
         let partial = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let map = SimilarityMap::new(vec![0, 0, 1, 0], 2);
-        let full = scatter(&partial, &map);
+        let full = scatter(&partial, &map, kernel_backend());
         assert_eq!(full.rows(), 4);
         assert_eq!(full.row(0), &[1.0, 2.0]);
         assert_eq!(full.row(1), &[1.0, 2.0]);
@@ -93,9 +94,9 @@ mod tests {
             threshold: 0.9,
             block: BlockSize::DEFAULT,
         };
-        let g = gather_tile(&acts, 0, 4, 0..4, &positions, &cfg);
+        let g = gather_all(&acts, &positions, &cfg);
         assert_eq!(g.p(), 1);
-        let rebuilt = scatter(&g.compact, &g.map);
+        let rebuilt = scatter(&g.compact, &g.map, kernel_backend());
         assert_eq!(rebuilt, acts);
     }
 
@@ -122,8 +123,8 @@ mod tests {
             threshold: 0.9,
             block: BlockSize::DEFAULT,
         };
-        let g = gather_tile(&acts, 0, 4, 0..4, &positions, &cfg);
-        let rebuilt = scatter(&g.compact, &g.map);
+        let g = gather_all(&acts, &positions, &cfg);
+        let rebuilt = scatter(&g.compact, &g.map, kernel_backend());
         for i in 0..4 {
             let cos = focus_tensor::ops::cosine_similarity(rebuilt.row(i), acts.row(i));
             assert!(cos >= 0.9, "row {i} reconstructed at cos {cos}");
@@ -135,7 +136,7 @@ mod tests {
     fn scatter_validates_shapes() {
         let partial = Matrix::zeros(3, 2);
         let map = SimilarityMap::new(vec![0, 1], 2);
-        scatter(&partial, &map);
+        scatter(&partial, &map, kernel_backend());
     }
 
     #[test]

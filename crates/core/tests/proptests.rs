@@ -4,9 +4,9 @@
 use focus_core::config::RetentionSchedule;
 use focus_core::sec::{ImportanceAnalyzer, OffsetEncoding, SelectionPolicy};
 use focus_core::sic::block::candidate_positions;
-use focus_core::sic::{gather_tile, ConvLayouter, Fhw, GatherConfig};
+use focus_core::sic::{gather_tile, ConvLayouter, Fhw, GatherConfig, GatherScratch};
 use focus_core::BlockSize;
-use focus_tensor::Matrix;
+use focus_tensor::{backend, Matrix};
 use proptest::prelude::*;
 
 proptest! {
@@ -79,7 +79,9 @@ proptest! {
             .map(|t| Some(Fhw { f: t / (grid * grid), r: (t / grid) % grid, c: t % grid }))
             .collect();
         let cfg = GatherConfig { threshold: 0.9, block: BlockSize::DEFAULT };
-        let g = gather_tile(&acts, 0, rows, 0..width, &positions, &cfg);
+        let mut plan = GatherScratch::new(&ConvLayouter::new(grid, grid));
+        plan.plan_tile(&positions, 0, rows, cfg.block);
+        let g = gather_tile(&acts, &plan, 0..width, &cfg, None, backend::active());
         prop_assert_eq!(g.p() + g.matches as usize, rows);
         prop_assert_eq!(g.compact.cols(), width);
         prop_assert_eq!(g.map.len(), rows);

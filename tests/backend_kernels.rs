@@ -14,7 +14,7 @@
 
 use focus::core::exec::{ConcentrationStage, GatherStage, LayerCtx, StageOutput, StageWorkspace};
 use focus::core::pipeline::{FocusPipeline, PipelineResult};
-use focus::core::sic::{scatter_on, ConvLayouter, Fhw, SimilarityMap};
+use focus::core::sic::{scatter, ConvLayouter, Fhw, SimilarityMap};
 use focus::core::FocusConfig;
 use focus::sim::ArchConfig;
 use focus::tensor::backend::{scalar_ref, simd, BackendHandle, KernelLaunch, Trace};
@@ -280,8 +280,8 @@ fn trace_backend_records_the_stage_launch_sequence() {
         (Stage::PvOut, DataType::Fp16),
         (Stage::FfnAct, DataType::Int8),
     ] {
-        let gather = GatherStage::new_on(&config, stage, dtype, trace);
-        let mut ws = StageWorkspace::new_on(&wl, trace);
+        let gather = GatherStage::new(&config, stage, dtype, trace);
+        let mut ws = StageWorkspace::new(&wl, trace);
         let width = stage.width(scaled);
         for layer in 0..2 {
             let ctx = LayerCtx {
@@ -307,7 +307,7 @@ fn trace_backend_records_the_stage_launch_sequence() {
     // trait too.
     let partial = Matrix::zeros(2, 3);
     let map = SimilarityMap::new(vec![0, 1, 0], 2);
-    scatter_on(&partial, &map, trace);
+    scatter(&partial, &map, trace);
     assert_eq!(
         trace.take_launches(),
         vec![KernelLaunch::Scatter { rows: 3, cols: 3 }]

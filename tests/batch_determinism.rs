@@ -397,9 +397,9 @@ fn graph_batch_matches_sequential_runs() {
 }
 
 /// Workspace reuse (resident synthesiser, recycled activation matrix,
-/// flat position lookup) produces `MatrixGatherStats` byte-identical
-/// to the fresh-synthesizer reference path, across layers, shrinking
-/// retained sets and both precisions.
+/// gather scratch) produces `MatrixGatherStats` byte-identical to a
+/// fresh workspace per call, across layers, shrinking retained sets
+/// and both precisions.
 #[test]
 fn workspace_reuse_matches_fresh_synthesizer_stats() {
     let wl = Workload::new(
@@ -413,10 +413,11 @@ fn workspace_reuse_matches_fresh_synthesizer_stats() {
     let m_img = wl.image_tokens_scaled();
     for dtype in [DataType::Fp16, DataType::Int8] {
         for stage in Stage::GATHER_POINTS {
-            let gather = GatherStage::new(&FocusConfig::paper(), stage, dtype);
-            // ONE workspace serves every layer; the reference path
-            // builds everything fresh per call.
-            let mut ws = StageWorkspace::new(&wl);
+            let backend = focus::core::obs::kernel_backend();
+            let gather = GatherStage::new(&FocusConfig::paper(), stage, dtype, backend);
+            // ONE workspace serves every layer; the reference builds a
+            // fresh workspace per call.
+            let mut ws = StageWorkspace::new(&wl, backend);
             for (layer, keep_every) in [(0usize, 1usize), (3, 2), (7, 3), (14, 5), (27, 2)] {
                 let retained: Vec<usize> = (0..m_img).step_by(keep_every).collect();
                 let positions: Vec<Option<Fhw>> = retained
@@ -432,7 +433,10 @@ fn workspace_reuse_matches_fresh_synthesizer_stats() {
                 let (
                     StageOutput::Gathered { stats: fresh, .. },
                     StageOutput::Gathered { stats: reused, .. },
-                ) = (gather.run_fresh(&ctx), gather.run(&ctx, &mut ws))
+                ) = (
+                    gather.run(&ctx, &mut StageWorkspace::new(&wl, backend)),
+                    gather.run(&ctx, &mut ws),
+                )
                 else {
                     panic!("gather stages always gather");
                 };

@@ -2,11 +2,27 @@
 //! lists, exercised over randomised inputs.
 
 use focus::core::sec::{OffsetEncoding, TopKSorter};
-use focus::core::sic::{gather_tile, scatter, ConvLayouter, Fhw, GatherConfig};
+use focus::core::sic::{
+    gather_tile, scatter, ConvLayouter, Fhw, GatherConfig, GatherResult, GatherScratch,
+};
 use focus::core::BlockSize;
+use focus::tensor::backend;
 use focus::tensor::ops::top_k_indices;
 use focus::tensor::{half::round_to_f16, Matrix};
 use proptest::prelude::*;
+
+/// Gathers every row of `acts` as one tile, with positions on a
+/// `grid × grid` frame grid.
+fn gather_all(
+    acts: &Matrix,
+    positions: &[Option<Fhw>],
+    grid: usize,
+    cfg: &GatherConfig,
+) -> GatherResult {
+    let mut plan = GatherScratch::new(&ConvLayouter::new(grid, grid));
+    plan.plan_tile(positions, 0, acts.rows(), cfg.block);
+    gather_tile(acts, &plan, 0..acts.cols(), cfg, None, backend::active())
+}
 
 proptest! {
     /// Offset encoding is lossless for any strictly increasing index set.
@@ -85,12 +101,12 @@ proptest! {
             .map(|t| Some(Fhw { f: t / (grid * grid), r: (t / grid) % grid, c: t % grid }))
             .collect();
         let cfg = GatherConfig { threshold: 0.9, block: BlockSize::DEFAULT };
-        let g = gather_tile(&acts, 0, rows, 0..width, &positions, &cfg);
+        let g = gather_all(&acts, &positions, grid, &cfg);
         // Map validity: every representative exists in the compact buffer.
         for i in 0..rows {
             prop_assert!((g.map.representative(i) as usize) < g.p());
         }
-        let rebuilt = scatter(&g.compact, &g.map);
+        let rebuilt = scatter(&g.compact, &g.map, backend::active());
         prop_assert_eq!(rebuilt.rows(), rows);
         for i in 0..rows {
             let cos = focus::tensor::ops::cosine_similarity(rebuilt.row(i), acts.row(i));
@@ -118,7 +134,7 @@ proptest! {
         let mut prev_matches = 0;
         for &threshold in &[0.99f32, 0.95, 0.9, 0.8, 0.6] {
             let cfg = GatherConfig { threshold, block: BlockSize::DEFAULT };
-            let g = gather_tile(&acts, 0, rows, 0..width, &positions, &cfg);
+            let g = gather_all(&acts, &positions, 4, &cfg);
             prop_assert!(g.matches >= prev_matches, "threshold {}", threshold);
             prev_matches = g.matches;
         }
