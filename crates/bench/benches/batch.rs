@@ -52,7 +52,8 @@ use criterion::{criterion_group, Criterion};
 use focus_bench::{video_grid, EVAL_SEED};
 use focus_core::exec::{
     BatchJob, BatchRunner, ExecMode, FocusService, FrameHandle, GatherStage, JobHandle, LayerCtx,
-    LayerExecutor, Priority, SessionStats, StageWorkspace, StreamConfig, StreamSession,
+    LayerExecutor, Priority, ServiceConfig, SessionStats, StageWorkspace, StreamConfig,
+    StreamSession, THREADS_ENV,
 };
 use focus_core::pipeline::{FocusPipeline, PipelineResult};
 use focus_core::sic::{ConvLayouter, Fhw, TemporalCacheConfig};
@@ -87,12 +88,10 @@ fn fig09_grid_workloads() -> Vec<Workload> {
         .collect()
 }
 
-/// The pre-PR measured phase, faithfully: workloads batched across
-/// cores (run_many existed before this PR) and the four gathers of a
-/// layer concurrent, but every gather call resynthesises from scratch
+/// The serial-resynthesis baseline: workloads batched across cores,
+/// but every gather call resynthesises from scratch
 /// (`ExecMode::Serial`), layers are barriers, and the cycle engine is
-/// rebuilt and run **serially per result** after the batch — exactly
-/// the `run_focus_many`/`focus_outcome` shape PR 2 replaced.
+/// rebuilt and run **serially per result** after the batch.
 fn serial_resynthesis(wls: &[Workload]) -> Vec<(PipelineResult, SimReport)> {
     let runner = BatchRunner::new(
         FocusPipeline::paper().with_exec_mode(ExecMode::Serial),
@@ -797,7 +796,7 @@ fn write_snapshot() {
     let json = format!(
         "{{\n  \"bench\": \"measured_phase_fig09_grid_tiny\",\n  \"cells\": {},\n  \"threads\": {},\n  \"serial_resynthesis_s\": {:.6},\n  \"graph_batched_s\": {:.6},\n  \"graph_traced_s\": {:.6},\n  \"obs_overhead_pct\": {:.3},\n  \"service_staggered_s\": {:.6},\n  \"service_jobs_per_s\": {:.3},\n  \"service_workers\": {},\n  \"stream_session_s\": {:.6},\n  \"stream_frames\": {},\n  \"stream_window\": {},\n  \"stream_frames_per_s\": {:.3},\n  \"temporal_frames_per_s_c00\": {:.3},\n  \"temporal_frames_per_s_c05\": {:.3},\n  \"temporal_frames_per_s_c09\": {:.3},\n  \"temporal_isolated_frames_per_s\": {:.3},\n  \"temporal_hit_rate_c00\": {:.4},\n  \"temporal_hit_rate_c05\": {:.4},\n  \"temporal_hit_rate_c09\": {:.4},\n  \"temporal_gathers_skipped_c09\": {},\n  \"fair_served_high\": {},\n  \"fair_served_normal\": {},\n  \"fair_served_low\": {},\n  \"synthesis_only_s\": {:.6},\n  \"synthesis_batched_s\": {:.6},\n  \"synthesis_kernel_speedup\": {:.3},\n  \"gather_phase_s\": {:.6},\n  \"gather_phase_scalar_s\": {:.6},\n  \"gather_kernel_speedup\": {:.3},\n  \"gather_share\": {:.4},\n  \"quantize_phase_s\": {:.6},\n  \"quantize_phase_scalar_s\": {:.6},\n  \"quantize_kernel_speedup\": {:.3},\n  \"graph_vs_serial\": {:.3},\n  \"synthesis_share\": {:.3}\n}}\n",
         wls.len(),
-        rayon::current_num_threads(),
+        ServiceConfig::default().threads,
         old_s,
         graph_s,
         graph_traced_s,
@@ -862,8 +861,8 @@ fn main() {
     // global `FocusService` (its width is fixed at first use): the
     // cross-layer and cross-request overlap only pays with real
     // concurrency, and the snapshot tracks it under ≥ 2 threads.
-    if rayon::current_num_threads() < 2 {
-        std::env::set_var("RAYON_NUM_THREADS", "2");
+    if ServiceConfig::default().threads < 2 {
+        std::env::set_var(THREADS_ENV, "2");
     }
     batch();
     if !criterion::running_in_test_mode() {

@@ -21,9 +21,9 @@
 //!
 //! This library holds the shared plumbing: the standard evaluation
 //! grid, a uniform [`MethodOutcome`] record for every design, plain
-//! text table rendering, and the batched entry points
-//! ([`run_focus_many`], [`run_focus_jobs`]) that fan pipeline runs out
-//! across cores via [`focus_core::exec::BatchRunner`].
+//! text table rendering, and the batched entry point
+//! ([`run_focus_jobs`]) that runs many pipeline jobs through
+//! [`focus_core::exec::BatchRunner`].
 
 #![forbid(unsafe_code)]
 
@@ -181,17 +181,6 @@ pub fn run_focus_with(wl: &Workload, pipeline: FocusPipeline) -> MethodOutcome {
     focus_outcome(r, focus_engine())
 }
 
-/// Runs the Table I Focus pipeline over many workloads **in
-/// parallel**, simulation included in the parallel region (results in
-/// input order, identical to calling [`run_focus`] per workload).
-pub fn run_focus_many(workloads: &[Workload]) -> Vec<MethodOutcome> {
-    BatchRunner::paper()
-        .run_many_sim(workloads)
-        .into_iter()
-        .map(outcome_from_sim)
-        .collect()
-}
-
 /// Runs heterogeneous `(pipeline, workload, arch)` jobs **in
 /// parallel** (results in input order), with one engine per distinct
 /// architecture shared across the batch. Config sweeps — many
@@ -219,14 +208,6 @@ fn outcome_from_sim((r, rep): (PipelineResult, SimReport)) -> MethodOutcome {
         accuracy: r.accuracy,
         report: Some(rep),
     }
-}
-
-/// Runs the Focus pipeline and also returns the pipeline result (for
-/// binaries that need layer records or outcomes).
-pub fn run_focus_detailed(wl: &Workload, pipeline: FocusPipeline) -> (PipelineResult, SimReport) {
-    let r = pipeline.run(wl, &ArchConfig::focus());
-    let rep = focus_engine().run(&r.work_items);
-    (r, rep)
 }
 
 /// Runs the dense model on the edge GPU.
@@ -333,7 +314,15 @@ mod tests {
                 )
             })
             .collect();
-        let batched = run_focus_many(&workloads);
+        let jobs: Vec<BatchJob> = workloads
+            .iter()
+            .map(|wl| BatchJob {
+                pipeline: FocusPipeline::paper(),
+                workload: wl.clone(),
+                arch: ArchConfig::focus(),
+            })
+            .collect();
+        let batched = run_focus_jobs(jobs);
         for (wl, b) in workloads.iter().zip(&batched) {
             let serial = run_focus(wl);
             assert_eq!(b.seconds, serial.seconds);

@@ -1,28 +1,28 @@
-//! [`BatchRunner`]: fans whole pipeline runs out across cores.
+//! [`BatchRunner`]: runs many independent pipeline jobs, returning
+//! results in input order.
 //!
 //! Design-space sweeps and evaluation grids run dozens to hundreds of
-//! *independent* `FocusPipeline::run` calls; before this module they
-//! executed strictly serially. `BatchRunner` parallelises at workload
-//! granularity while guaranteeing results **identical to the serial
-//! loop**: each run is a pure function of `(pipeline, workload, arch)`
-//! and results are collected in submission order (see
-//! `tests/batch_determinism.rs`).
+//! independent `FocusPipeline::run` calls. Every batch entry point
+//! shares one spine: jobs on a task-graph schedule are submitted into
+//! the process-wide [`FocusService`] as one burst — the persistent pool
+//! that also serves streaming requests, so their stages interleave
+//! with whatever else it runs — and [`ExecMode::Serial`] jobs fan out
+//! through [`par_map`]. Each run is a pure function of
+//! `(pipeline, workload, arch)`, so every result is identical to the
+//! serial loop's (see `tests/batch_determinism.rs`).
 //!
-//! Under [`ExecMode::Graph`] (the default) a batch is not fanned out
-//! as whole runs:
-//! every job is submitted into the process-wide
-//! [`FocusService`] — the same persistent pool that serves streaming
-//! requests — so a batch is just a burst of admissions whose stages
-//! interleave with whatever else the service is running.
+//! [`par_map`] is the one order-preserving fan-out primitive. It runs
+//! on scoped threads of its own, never on service workers: its
+//! closures may submit to the service and block on the result, which
+//! on a pool worker could deadlock a small pool.
 
 use std::sync::Arc;
-
-use rayon::prelude::*;
 
 use focus_sim::{ArchConfig, Engine, SimReport};
 use focus_vlm::Workload;
 
-use crate::exec::service::{FocusService, JobHandle};
+use crate::exec::executor::resolve_threads;
+use crate::exec::service::FocusService;
 use crate::exec::{ExecMode, Priority};
 use crate::pipeline::{FocusPipeline, PipelineResult};
 
@@ -45,45 +45,17 @@ impl BatchJob {
     }
 }
 
-/// Submits owned jobs into the shared [`FocusService`] and waits for
-/// them in submission order — the graph-mode spine of every batch
-/// entry point below.
-///
-/// Each submission clones its job out of the caller's borrow, because
-/// an admitted request owns its inputs for as long as it runs. The
-/// copy is O(1) in the scene: a [`Workload`] shares its scene through
-/// an `Arc`.
-fn through_service(
-    jobs: impl IntoIterator<Item = (BatchJob, Option<Arc<Engine>>)>,
-    priority: Priority,
-) -> Vec<(PipelineResult, Option<SimReport>)> {
-    let service = FocusService::global();
-    let handles: Vec<JobHandle> = jobs
-        .into_iter()
-        .map(|(job, engine)| match engine {
-            Some(engine) => service.submit_sim(job, engine, priority),
-            None => service.submit(job, priority),
-        })
-        .collect();
-    handles.into_iter().map(JobHandle::wait_sim).collect()
-}
-
 /// Runs many workloads through one pipeline configuration in parallel.
 #[derive(Clone, Debug)]
 pub struct BatchRunner {
     pipeline: FocusPipeline,
     arch: ArchConfig,
-    priority: Priority,
 }
 
 impl BatchRunner {
     /// A runner for `pipeline` lowering against `arch`.
     pub fn new(pipeline: FocusPipeline, arch: ArchConfig) -> Self {
-        BatchRunner {
-            pipeline,
-            arch,
-            priority: Priority::Normal,
-        }
+        BatchRunner { pipeline, arch }
     }
 
     /// The Table I pipeline on the Focus architecture.
@@ -91,22 +63,12 @@ impl BatchRunner {
         BatchRunner::new(FocusPipeline::paper(), ArchConfig::focus())
     }
 
-    /// The same runner at a different fair-queue weight class: a
-    /// background sweep submitted at [`Priority::Low`] shares workers
-    /// with interactive traffic at the weight ratio instead of
-    /// competing head-on (graph-mode batches only — loop-mode fan-out
-    /// has no queue to weight).
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
     /// The pipeline this runner applies.
     pub fn pipeline(&self) -> &FocusPipeline {
         &self.pipeline
     }
 
-    /// One owned service job per workload.
+    /// One job per workload.
     fn jobs_for(&self, workloads: &[Workload]) -> Vec<BatchJob> {
         workloads
             .iter()
@@ -121,87 +83,51 @@ impl BatchRunner {
     /// Runs every workload, in parallel, returning results in input
     /// order — element `i` is exactly what
     /// `self.pipeline().run(&workloads[i], arch)` returns.
-    ///
-    /// Under [`ExecMode::Graph`] the workloads are not fanned out as
-    /// whole runs: every workload is submitted into the shared
-    /// [`FocusService`], so stage-level interleaving crosses request
-    /// boundaries (a fast request's lowering overlaps a slow request's
-    /// synthesis) and the batch shares workers with any concurrent
-    /// submitter.
     pub fn run_many(&self, workloads: &[Workload]) -> Vec<PipelineResult> {
-        if self.pipeline.exec_mode != ExecMode::Serial {
-            return through_service(
-                self.jobs_for(workloads).into_iter().map(|j| (j, None)),
-                self.priority,
-            )
-            .into_iter()
-            .map(|(result, _)| result)
-            .collect();
-        }
-        workloads
-            .par_iter()
-            .map(|wl| self.pipeline.run(wl, &self.arch))
-            .collect()
+        results(run_batch(&self.jobs_for(workloads), false))
     }
 
     /// Runs heterogeneous jobs (each with its own pipeline/arch), in
     /// parallel, results in input order. This is what config sweeps
-    /// use: same workload, many configurations. A batch of all-graph
-    /// jobs streams through the shared [`FocusService`] (see
-    /// [`BatchRunner::run_many`]); mixed batches fall back to
-    /// whole-run fan-out, where graph jobs still submit their own
-    /// graphs individually.
+    /// use: same workload, many configurations.
     pub fn run_jobs(jobs: &[BatchJob]) -> Vec<PipelineResult> {
-        if all_graph(jobs) {
-            return through_service(jobs.iter().map(|j| (j.clone(), None)), Priority::Normal)
-                .into_iter()
-                .map(|(result, _)| result)
-                .collect();
-        }
-        jobs.par_iter().map(BatchJob::run).collect()
+        results(run_batch(jobs, false))
     }
 
-    /// Like [`BatchRunner::run_many`], but carries the cycle
-    /// simulation through the batch: **one** [`Engine`] is built for
-    /// the runner's architecture and shared (it is immutable during
-    /// `run`) across the parallel region, so per-result engine
-    /// rebuilds and the serial post-pass both disappear. Under
-    /// [`ExecMode::Graph`] the simulation rides in each request's
-    /// `Finish` node on the shared service, every request sharing the
-    /// one engine's `Arc`.
+    /// Like [`BatchRunner::run_many`], with the cycle simulation of
+    /// each result against **one** shared [`Engine`] for the runner's
+    /// architecture.
     pub fn run_many_sim(&self, workloads: &[Workload]) -> Vec<(PipelineResult, SimReport)> {
-        let engine = Arc::new(Engine::new(self.arch.clone()));
-        if self.pipeline.exec_mode != ExecMode::Serial {
-            return through_service(
-                self.jobs_for(workloads)
-                    .into_iter()
-                    .map(|j| (j, Some(Arc::clone(&engine)))),
-                self.priority,
-            )
-            .into_iter()
-            .map(|(result, report)| (result, report.expect("engine attached")))
-            .collect();
-        }
-        workloads
-            .par_iter()
-            .map(|wl| {
-                let r = self.pipeline.run(wl, &self.arch);
-                let rep = engine.run(&r.work_items);
-                (r, rep)
-            })
-            .collect()
+        reports(run_batch(&self.jobs_for(workloads), true))
     }
 
-    /// Like [`BatchRunner::run_jobs`], but with simulation folded into
-    /// the parallel region: one [`Engine`] is constructed per
-    /// *distinct* [`ArchConfig`] in the job list (config sweeps share
-    /// one arch across hundreds of jobs) and jobs share their engine
-    /// through an `Arc`.
+    /// Like [`BatchRunner::run_jobs`], with the cycle simulation of
+    /// each result: one [`Engine`] is built per *distinct*
+    /// [`ArchConfig`] in the job list (config sweeps share one arch
+    /// across hundreds of jobs) and shared through an `Arc`.
     pub fn run_jobs_sim(jobs: &[BatchJob]) -> Vec<(PipelineResult, SimReport)> {
-        let mut engines: Vec<Arc<Engine>> = Vec::new();
-        let engine_for: Vec<Arc<Engine>> = jobs
-            .iter()
-            .map(|job| match engines.iter().find(|e| *e.arch() == job.arch) {
+        reports(run_batch(jobs, true))
+    }
+}
+
+/// The one batch spine behind every [`BatchRunner`] entry point: runs
+/// `jobs` — with the cycle simulation against one [`Engine`] per
+/// distinct architecture when `sim` is set — and returns the results
+/// in input order.
+///
+/// Every job on a task-graph schedule is submitted into the shared
+/// [`FocusService`] first, so the batch arrives as one burst (the
+/// simulation rides in each request's `Finish` node). The
+/// [`ExecMode::Serial`] jobs then run through [`par_map`] while the
+/// service works. A submission clones its job, because an admitted
+/// request owns its inputs; the copy is O(1) in the scene, which a
+/// [`Workload`] shares through an `Arc`.
+fn run_batch(jobs: &[BatchJob], sim: bool) -> Vec<(PipelineResult, Option<SimReport>)> {
+    let mut engines: Vec<Arc<Engine>> = Vec::new();
+    let engine_for: Vec<Option<Arc<Engine>>> = jobs
+        .iter()
+        .map(|job| {
+            sim.then(|| match engines.iter().find(|e| *e.arch() == job.arch) {
                 Some(e) => Arc::clone(e),
                 None => {
                     let e = Arc::new(Engine::new(job.arch.clone()));
@@ -209,52 +135,104 @@ impl BatchRunner {
                     e
                 }
             })
-            .collect();
-        if all_graph(jobs) {
-            return through_service(
-                jobs.iter()
-                    .zip(engine_for)
-                    .map(|(job, engine)| (job.clone(), Some(engine))),
-                Priority::Normal,
-            )
-            .into_iter()
-            .map(|(result, report)| (result, report.expect("engine attached")))
-            .collect();
-        }
-        let pairs: Vec<(&BatchJob, &Arc<Engine>)> = jobs.iter().zip(&engine_for).collect();
-        pairs
-            .par_iter()
-            .map(|(job, engine)| {
-                let r = job.run();
-                let rep = engine.run(&r.work_items);
-                (r, rep)
+        })
+        .collect();
+    let on_service = |job: &BatchJob| job.pipeline.exec_mode != ExecMode::Serial;
+    let handles: Vec<_> = jobs
+        .iter()
+        .zip(&engine_for)
+        .map(|(job, engine)| {
+            on_service(job).then(|| {
+                let (service, job) = (FocusService::global(), job.clone());
+                match engine {
+                    Some(engine) => service.submit_sim(job, Arc::clone(engine), Priority::Normal),
+                    None => service.submit(job, Priority::Normal),
+                }
             })
-            .collect()
-    }
+        })
+        .collect();
+    let serial: Vec<_> = jobs
+        .iter()
+        .zip(&engine_for)
+        .filter(|(job, _)| !on_service(job))
+        .collect();
+    let mut serial = par_map(&serial, |(job, engine)| {
+        let result = job.run();
+        let report = engine.as_ref().map(|e| e.run(&result.work_items));
+        (result, report)
+    })
+    .into_iter();
+    handles
+        .into_iter()
+        .map(|handle| match handle {
+            Some(handle) => handle.wait_sim(),
+            None => serial.next().expect("one result per serial job"),
+        })
+        .collect()
 }
 
-/// Whether **every** job of a non-empty batch runs as a task graph
-/// (any schedule but [`ExecMode::Serial`]) — the condition for
-/// streaming the batch through the shared service (each submission
-/// carries its own depth).
-fn all_graph(jobs: &[BatchJob]) -> bool {
-    !jobs.is_empty()
-        && jobs
-            .iter()
-            .all(|job| job.pipeline.exec_mode != ExecMode::Serial)
+fn results(batch: Vec<(PipelineResult, Option<SimReport>)>) -> Vec<PipelineResult> {
+    batch.into_iter().map(|(result, _)| result).collect()
+}
+
+fn reports(batch: Vec<(PipelineResult, Option<SimReport>)>) -> Vec<(PipelineResult, SimReport)> {
+    batch
+        .into_iter()
+        .map(|(result, report)| (result, report.expect("engine attached")))
+        .collect()
 }
 
 /// Deterministic parallel map over a slice: `f` applied to every item,
-/// results in input order. The building block `BatchRunner` rides on,
-/// exposed for ad-hoc sweeps (ablations, calibration probes) that
-/// batch something other than whole pipeline runs.
+/// results in input order, a worker's panic re-raised with its original
+/// payload. The fan-out behind [`BatchRunner`]'s serial jobs, exposed
+/// for ad-hoc sweeps (ablations, calibration probes, evaluation grids)
+/// that batch something other than whole pipeline runs. As wide as
+/// [`THREADS_ENV`](crate::exec::THREADS_ENV) asks, else the machine's
+/// available parallelism.
+///
+/// # Panics
+///
+/// Panics when `FOCUS_THREADS` is set but not an integer ≥ 1, and
+/// re-raises any panic of `f`.
 pub fn par_map<I, R, F>(items: &[I], f: F) -> Vec<R>
 where
     I: Sync,
     R: Send,
     F: Fn(&I) -> R + Sync,
 {
-    items.par_iter().map(f).collect()
+    par_map_on(resolve_threads(), items, f)
+}
+
+/// [`par_map`] on at most `threads` scoped threads. A static split,
+/// not work stealing: `items` is cut into contiguous chunks of
+/// `len.div_ceil(threads)`, one thread each, so which items share a
+/// thread is a pure function of `(len, threads)`. With one thread (or
+/// one item) the map runs inline on the caller.
+fn par_map_on<I, R, F>(threads: usize, items: &[I], f: F) -> Vec<R>
+where
+    I: Sync,
+    R: Send,
+    F: Fn(&I) -> R + Sync,
+{
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items
+            .chunks(items.len().div_ceil(threads))
+            .map(|chunk| s.spawn(move || chunk.iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut out = Vec::with_capacity(items.len());
+        for handle in handles {
+            match handle.join() {
+                Ok(part) => out.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    })
 }
 
 #[cfg(test)]
@@ -269,6 +247,66 @@ mod tests {
             WorkloadScale::tiny(),
             seed,
         )
+    }
+
+    #[test]
+    fn par_map_preserves_input_order() {
+        let items: Vec<usize> = (0..1000).collect();
+        let doubled: Vec<usize> = (0..1000).map(|x| x * 2).collect();
+        assert_eq!(par_map(&items, |&x| x * 2), doubled);
+        for threads in 1..=4 {
+            assert_eq!(par_map_on(threads, &items, |&x| x * 2), doubled);
+        }
+    }
+
+    #[test]
+    fn par_map_of_nothing_is_empty() {
+        let empty: &[usize] = &[];
+        assert!(par_map(empty, |&x| x).is_empty());
+        assert!(par_map_on(3, empty, |&x| x).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "worker boom")]
+    fn par_map_reraises_a_worker_panic_with_its_payload() {
+        // Two threads, so the panic crosses from a scoped worker.
+        par_map_on(2, &[1usize, 2, 3], |&x| {
+            if x == 2 {
+                panic!("worker boom");
+            }
+            x
+        });
+    }
+
+    #[test]
+    fn par_map_keeps_the_static_contiguous_partition() {
+        // `(threads, items, items per worker)`: at most `threads`
+        // contiguous chunks of `len.div_ceil(threads)`. The grid
+        // benchmark's per-op latencies depend on which ops overlap, so
+        // its 54 ops must split 27/27 on two workers.
+        let cases: [(usize, usize, &[usize]); 8] = [
+            (2, 54, &[27, 27]),
+            (3, 54, &[18, 18, 18]),
+            (2, 9, &[5, 4]),
+            (3, 10, &[4, 4, 2]),
+            (3, 7, &[3, 3, 1]),
+            (3, 4, &[2, 2]),
+            (3, 2, &[1, 1]),
+            (2, 1, &[1]),
+        ];
+        let caller = std::thread::current().id();
+        for (threads, len, expected) in cases {
+            let items: Vec<usize> = (0..len).collect();
+            let workers = par_map_on(threads, &items, |_| std::thread::current().id());
+            let runs: Vec<&[std::thread::ThreadId]> = workers.chunk_by(|a, b| a == b).collect();
+            let sizes: Vec<usize> = runs.iter().map(|run| run.len()).collect();
+            assert_eq!(sizes, expected, "{len} items on {threads} threads");
+            let distinct: std::collections::HashSet<_> = runs.iter().map(|run| run[0]).collect();
+            assert_eq!(distinct.len(), runs.len(), "one worker per chunk");
+            // A lone item runs inline; otherwise every chunk has its
+            // own scoped thread.
+            assert_eq!(distinct.contains(&caller), len == 1);
+        }
     }
 
     #[test]

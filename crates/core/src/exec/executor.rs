@@ -23,6 +23,38 @@ use crate::sic::{ConvLayouter, Fhw, MatrixGatherStats};
 /// bit-identical across schedules; only throughput differs.
 pub const EXEC_MODE_ENV: &str = "FOCUS_EXEC_MODE";
 
+/// Environment variable overriding the fan-out width (an integer
+/// ≥ 1): the scoped threads of [`crate::exec::par_map`] and the worker
+/// count of the default [`crate::exec::ServiceConfig`]. Unset, both
+/// are as wide as the machine's available parallelism. Results are
+/// bit-identical at any width; only throughput differs.
+pub const THREADS_ENV: &str = "FOCUS_THREADS";
+
+/// Parses a [`THREADS_ENV`] value: an integer ≥ 1, surrounding
+/// whitespace allowed. Anything else is an error naming the valid
+/// form, never a silent fallback.
+pub(crate) fn parse_threads(s: &str) -> Result<usize, String> {
+    match s.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("bad thread count {s:?}; expected an integer >= 1")),
+    }
+}
+
+/// The fan-out width: [`THREADS_ENV`] when set, else the machine's
+/// available parallelism.
+///
+/// # Panics
+///
+/// Panics when [`THREADS_ENV`] is set but malformed — a silently
+/// ignored override would fake a measurement.
+pub(crate) fn resolve_threads() -> usize {
+    match std::env::var(THREADS_ENV) {
+        Ok(raw) => parse_threads(&raw)
+            .unwrap_or_else(|why| panic!("{THREADS_ENV}={raw:?} rejected: {why}")),
+        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    }
+}
+
 /// How the executor schedules the stage graph.
 // The hidden variant is a kept-alive alias that downstream exhaustive
 // matches still name, not a non-exhaustiveness marker.
@@ -499,6 +531,19 @@ mod tests {
             );
         }
         assert!(ExecMode::parse("graph:0").unwrap_err().contains(">= 1"));
+    }
+
+    #[test]
+    fn thread_override_parses_positive_integers_and_rejects_the_rest() {
+        assert_eq!(parse_threads("4"), Ok(4));
+        assert_eq!(parse_threads(" 2 "), Ok(2));
+        for bad in ["0", "-1", "abc", ""] {
+            let err = parse_threads(bad).expect_err(bad);
+            assert!(
+                err.contains("an integer >= 1"),
+                "{bad:?} error must name the valid form, got: {err}"
+            );
+        }
     }
 
     #[test]

@@ -25,12 +25,13 @@
 //!   synthesis and SEC at any pipeline depth — as the hardware streams
 //!   SEC of layer *l+1* alongside the FC gathers of layer *l*, and
 //!   across workload boundaries when batched;
-//! * [`BatchRunner`] — fans whole `FocusPipeline::run` calls out
-//!   across cores (`run_many` for workload grids, `run_jobs` for
-//!   config sweeps, and the `_sim` variants that carry cycle
-//!   simulation through the parallel region); under graph mode it
-//!   instead submits every workload into the shared service, with
-//!   results still bit-identical to the serial loop;
+//! * [`BatchRunner`] — runs many independent jobs (`run_many` for
+//!   workload grids, `run_jobs` for config sweeps, and the `_sim`
+//!   variants that add the cycle simulation) through one spine:
+//!   task-graph jobs are submitted into the shared service as one
+//!   burst, `Serial` jobs fan out through [`par_map`], the one
+//!   order-preserving fan-out primitive; results are bit-identical to
+//!   the serial loop;
 //! * [`FocusService`] (`service` module) — the scheduler's one front
 //!   end: a persistent worker pool that outlives any batch,
 //!   accepting jobs as they arrive (`submit(job) → JobHandle`) with
@@ -59,7 +60,7 @@ mod stream;
 pub(crate) use graph::PipelineGraph;
 
 pub use batch::{par_map, BatchJob, BatchRunner};
-pub use executor::{ExecMode, LayerExecutor, LayerRecord, EXEC_MODE_ENV};
+pub use executor::{ExecMode, LayerExecutor, LayerRecord, EXEC_MODE_ENV, THREADS_ENV};
 pub use graph::Priority;
 pub use service::{FocusService, JobHandle, ServiceConfig, ServiceStats};
 pub use stage::{

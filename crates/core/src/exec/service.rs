@@ -74,10 +74,15 @@ impl ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// As wide as the rayon pool ([`rayon::current_num_threads`],
-    /// honouring `RAYON_NUM_THREADS`).
+    /// [`THREADS_ENV`](crate::exec::THREADS_ENV) workers when set,
+    /// else as many as the machine's available parallelism — the same
+    /// width [`par_map`](crate::exec::par_map) fans out to.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `FOCUS_THREADS` is set but not an integer ≥ 1.
     fn default() -> Self {
-        ServiceConfig::with_threads(rayon::current_num_threads())
+        ServiceConfig::with_threads(crate::exec::executor::resolve_threads())
     }
 }
 

@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 
 /// Directories under the workspace root that hold first-party source.
 /// `shims/` is deliberately absent: those crates are offline stand-ins
-/// for third-party code (rayon/proptest/criterion) and carry the
+/// for third-party code (proptest/criterion) and carry the
 /// upstream idioms, not ours.
 const WALK_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 

@@ -3,14 +3,14 @@
 //! list, DRAM traffic, and every per-layer record — to sequential
 //! `FocusPipeline::run` calls, for any thread count.
 //!
-//! The rayon shim honours `RAYON_NUM_THREADS`, so these tests force a
+//! The fan-out width honours `FOCUS_THREADS`, so these tests force a
 //! multi-threaded pool even on single-core CI machines; without that,
 //! a 1-CPU box would silently degenerate to the serial path and prove
 //! nothing.
 
 use focus::core::exec::{
     BatchJob, BatchRunner, ConcentrationStage, ExecMode, FocusService, GatherStage, JobHandle,
-    LayerCtx, Priority, ServiceConfig, StageOutput, StageWorkspace,
+    LayerCtx, Priority, ServiceConfig, StageOutput, StageWorkspace, THREADS_ENV,
 };
 use focus::core::pipeline::{FocusPipeline, PipelineResult};
 use focus::core::sic::{ConvLayouter, Fhw};
@@ -21,9 +21,9 @@ use focus::vlm::embedding::Stage;
 use focus::vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
 use proptest::prelude::*;
 
-/// Forces the shim's thread pool wide open regardless of core count.
+/// Forces four workers regardless of core count.
 fn force_parallel_pool() {
-    std::env::set_var("RAYON_NUM_THREADS", "4");
+    std::env::set_var(THREADS_ENV, "4");
 }
 
 fn assert_identical(parallel: &PipelineResult, serial: &PipelineResult, what: &str) {
@@ -393,6 +393,48 @@ fn graph_batch_matches_sequential_runs() {
         let serial_rep = focus::sim::Engine::new(job.arch.clone()).run(&serial.work_items);
         assert_identical(r, &serial, &format!("graph job {i}"));
         assert_eq!(*rep, serial_rep, "graph job report {i}");
+    }
+}
+
+/// A mixed batch — `Serial` jobs fanned out beside task-graph jobs on
+/// the shared service, across two architectures — comes back in input
+/// order, each result and report exactly what a per-job `Serial` run
+/// and a fresh engine produce.
+#[test]
+fn mixed_schedule_batch_matches_per_job_serial_runs() {
+    force_parallel_pool();
+    let jobs: Vec<BatchJob> = [
+        (ExecMode::Serial, ArchConfig::focus()),
+        (ExecMode::Graph { depth: 1 }, ArchConfig::vanilla()),
+        (ExecMode::Serial, ArchConfig::vanilla()),
+        (ExecMode::Graph { depth: 3 }, ArchConfig::focus()),
+    ]
+    .into_iter()
+    .zip([3u64, 5, 8, 13])
+    .map(|((mode, arch), seed)| BatchJob {
+        pipeline: FocusPipeline::paper().with_exec_mode(mode),
+        workload: Workload::new(
+            ModelKind::LlavaVideo7B,
+            DatasetKind::VideoMme,
+            WorkloadScale::tiny(),
+            seed,
+        ),
+        arch,
+    })
+    .collect();
+    let plain = BatchRunner::run_jobs(&jobs);
+    let simulated = BatchRunner::run_jobs_sim(&jobs);
+    assert_eq!((plain.len(), simulated.len()), (jobs.len(), jobs.len()));
+    for (i, job) in jobs.iter().enumerate() {
+        let serial = job
+            .pipeline
+            .clone()
+            .with_exec_mode(ExecMode::Serial)
+            .run(&job.workload, &job.arch);
+        let serial_rep = focus::sim::Engine::new(job.arch.clone()).run(&serial.work_items);
+        assert_identical(&plain[i], &serial, &format!("mixed job {i}"));
+        assert_identical(&simulated[i].0, &serial, &format!("mixed sim job {i}"));
+        assert_eq!(simulated[i].1, serial_rep, "mixed job report {i}");
     }
 }
 

@@ -13,13 +13,15 @@
 //! counts exactly matching the pipeline graph inventory.
 //!
 //! Span recording is process-global state (`spans::set_enabled`), so
-//! every test in this binary serialises on one lock.
+//! every test in this binary serialises on one lock. The fan-out width
+//! honours `FOCUS_THREADS`; tests force four workers so a 1-CPU box
+//! still exercises real concurrency.
 
 use std::sync::Mutex;
 
 use focus::core::exec::{
     node_inventory, BatchJob, ExecMode, FocusService, FrameHandle, Priority, ServiceConfig,
-    StreamConfig, StreamSession,
+    StreamConfig, StreamSession, THREADS_ENV,
 };
 use focus::core::obs::{clock, spans, SpanKind, TraceConfig};
 use focus::core::pipeline::{FocusPipeline, PipelineResult};
@@ -36,7 +38,7 @@ fn lock_trace() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn force_parallel_pool() {
-    std::env::set_var("RAYON_NUM_THREADS", "4");
+    std::env::set_var(THREADS_ENV, "4");
 }
 
 fn workload(seed: u64) -> Workload {

@@ -9,7 +9,7 @@
 //!   stall a Low job beyond the fair queue's aging bound (regression
 //!   for the strict-priority starvation ROADMAP item (k)).
 //!
-//! The rayon shim honours `RAYON_NUM_THREADS`; tests force a
+//! The fan-out width honours `FOCUS_THREADS`; tests force a
 //! multi-thread pool so a 1-CPU box still exercises real concurrency.
 
 use std::collections::VecDeque;
@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use focus::core::exec::{
     BatchJob, ExecMode, FocusService, FrameHandle, JobHandle, Priority, ServiceConfig,
-    StreamConfig, StreamSession,
+    StreamConfig, StreamSession, THREADS_ENV,
 };
 use focus::core::pipeline::{FocusPipeline, PipelineResult};
 use focus::core::sic::TemporalCacheConfig;
@@ -28,7 +28,7 @@ use focus::vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
 use proptest::prelude::*;
 
 fn force_parallel_pool() {
-    std::env::set_var("RAYON_NUM_THREADS", "4");
+    std::env::set_var(THREADS_ENV, "4");
 }
 
 fn frame_workload(session: u64, frame: u64) -> Workload {
