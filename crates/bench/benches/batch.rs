@@ -6,23 +6,28 @@
 //!   after another vs one `BatchRunner` burst, on a batch of tiny
 //!   workloads (both on the task-graph schedule).
 //! * `measured/serial_resynthesis_fig09_grid` — the serial oracle
-//!   phase: serial stage sweep, a fresh `activation_synthesizer()` and
-//!   per-tile `HashMap` per gather call, one `Engine::new` per result
-//!   after the fact.
+//!   phase: serial stage sweep, a fresh workspace (synthesiser, tile
+//!   buffer, gather scratch) per fused gather call, one `Engine::new`
+//!   per result after the fact.
 //! * `measured/graph_batched_fig09_grid` — the task-graph schedule:
-//!   every workload's `Sec`/`Synth`/`Gather`/`Fold`/`Lower` nodes on
-//!   **one** work-stealing scheduler (depth 2), stages interleaving
-//!   across request boundaries, simulation in the `Finish` nodes.
-//! * `synthesis/activation_synthesis_fig09_grid` — the `Synth` nodes
-//!   alone (batched fixed-polynomial Box–Muller synthesis + fp16
-//!   rounding) over the exact measured-layer walk of the grid,
-//!   isolating the formerly RNG-bound share of the measured phase
-//!   (ROADMAP item (e)).
+//!   every workload's `Sec`/`Gather`/`Fold`/`Lower` nodes (synthesis
+//!   fused into the gather) on **one** work-stealing scheduler
+//!   (depth 2), stages interleaving across request boundaries,
+//!   simulation in the `Finish` nodes.
+//! * `synthesis/activation_synthesis_fig09_grid` — activation
+//!   synthesis alone (batched fixed-polynomial Box–Muller, whole
+//!   matrices through `ActivationSynthesizer::activations`) over the
+//!   exact measured-layer walk of the grid, isolating the formerly
+//!   RNG-bound share of the measured phase.
 //! * `synthesis/activation_synthesis_fig09_grid_scalar` — the same
 //!   walk with the kernel's SIMD dispatch forced onto the chunked-
 //!   scalar fallback (bit-identical values, only slower): the
 //!   batched-vs-scalar comparison behind the snapshot's
 //!   `synthesis_kernel_speedup`.
+//! * `gather/fused_{fp16,int8}_fig09_cell0_{simd,scalar}` — the fused
+//!   gather stages (tile-by-tile synthesis, dtype conversion, gather
+//!   scoring) of one grid cell's first measured layer, on the
+//!   dispatched backend vs the scalar oracle (bit-identical values).
 //! * `service_throughput/staggered_fig09_grid` — the serving shape:
 //!   the nine grid cells submitted one by one (mixed priorities, a
 //!   small arrival gap) into the persistent `FocusService`, measured
@@ -51,9 +56,9 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, Criterion};
 use focus_bench::{video_grid, EVAL_SEED};
 use focus_core::exec::{
-    BatchJob, BatchRunner, ExecMode, FocusService, FrameHandle, GatherStage, JobHandle, LayerCtx,
-    LayerExecutor, Priority, ServiceConfig, SessionStats, StageWorkspace, StreamConfig,
-    StreamSession, THREADS_ENV,
+    BatchJob, BatchRunner, ConcentrationStage, ExecMode, FocusService, FrameHandle, GatherStage,
+    JobHandle, LayerCtx, LayerExecutor, Priority, ServiceConfig, SessionStats, StageWorkspace,
+    StreamConfig, StreamSession, THREADS_ENV,
 };
 use focus_core::pipeline::{FocusPipeline, PipelineResult};
 use focus_core::sic::{ConvLayouter, Fhw, TemporalCacheConfig};
@@ -61,7 +66,7 @@ use focus_core::FocusConfig;
 use focus_sim::{ArchConfig, Engine, SimReport};
 use focus_tensor::backend::{scalar_ref, simd, BackendHandle};
 use focus_tensor::DataType;
-use focus_vlm::embedding::Stage;
+use focus_vlm::embedding::{ActivationSynthesizer, Stage};
 use focus_vlm::scene::SceneStream;
 use focus_vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
 
@@ -257,10 +262,13 @@ fn temporal_session(
     (results, stats)
 }
 
+/// Every `(layer, retained)` pair of one workload whose gathers run.
+type MeasuredWalk = Vec<(usize, Vec<usize>)>;
+
 /// The measured-layer walk of one workload: every `(layer, retained)`
 /// pair whose gathers actually run, captured once so the synthesis
-/// bench replays exactly the `Synth` node inputs of the grid.
-fn measured_walk(wl: &Workload) -> Vec<(usize, Vec<usize>)> {
+/// bench replays exactly the gather nodes' inputs of the grid.
+fn measured_walk(wl: &Workload) -> MeasuredWalk {
     let pipeline = FocusPipeline::paper().with_exec_mode(ExecMode::Serial);
     let exec = LayerExecutor::new(&pipeline, wl);
     let mut retained: Vec<usize> = (0..wl.image_tokens_scaled()).collect();
@@ -274,23 +282,13 @@ fn measured_walk(wl: &Workload) -> Vec<(usize, Vec<usize>)> {
     walk
 }
 
-/// Runs just the `Synth` node work — Box–Muller activation synthesis
-/// plus fp16 rounding — of one workload's measured walk.
-fn synthesis_pass(
-    wl: &Workload,
-    walk: &[(usize, Vec<usize>)],
-    stages: &[GatherStage],
-    ws: &mut [StageWorkspace],
-) {
+/// Synthesises every gather point's activations (whole matrices,
+/// synthesis only) along one workload's measured walk.
+fn synthesis_pass(wl: &Workload, walk: &MeasuredWalk, syn: &mut ActivationSynthesizer) {
     for (layer, retained) in walk {
-        for (si, stage) in stages.iter().enumerate() {
-            let ctx = LayerCtx {
-                workload: wl,
-                layer: *layer,
-                retained,
-                positions: &[],
-            };
-            stage.synth(&ctx, &mut ws[si]);
+        for stage in Stage::GATHER_POINTS {
+            let width = stage.width(wl.scaled_model());
+            criterion::black_box(syn.activations(retained, *layer, stage, width));
         }
     }
 }
@@ -300,16 +298,14 @@ fn synthesis_pass(
 /// decoding.
 type StagedWalk = Vec<(usize, Vec<usize>, Vec<Option<Fhw>>)>;
 
-/// The backend-staged fixture: measured walks with positions, the four
-/// gather stages and one workspace set per workload, all pinned to an
-/// explicit kernel `backend` (so a `FOCUS_BACKEND` override cannot
-/// relabel what a leg measures) and `dtype`.
-#[allow(clippy::type_complexity)]
-fn staged_fixture(
-    wls: &[Workload],
-    dtype: DataType,
-    backend: BackendHandle,
-) -> (Vec<StagedWalk>, Vec<GatherStage>, Vec<Vec<StageWorkspace>>) {
+/// Measured walks with positions, the four gather stages and one
+/// workspace set per workload.
+type StagedFixture = (Vec<StagedWalk>, Vec<GatherStage>, Vec<Vec<StageWorkspace>>);
+
+/// The backend-staged fixture, all pinned to an explicit kernel
+/// `backend` (so a `FOCUS_BACKEND` override cannot relabel what a leg
+/// measures) and `dtype`.
+fn staged_fixture(wls: &[Workload], dtype: DataType, backend: BackendHandle) -> StagedFixture {
     let walks = wls
         .iter()
         .map(|wl| {
@@ -343,18 +339,18 @@ fn staged_fixture(
     (walks, stages, ws)
 }
 
-/// Runs the grid's measured walks end to end on backend-dispatched
-/// stages, accumulating the time spent in each kernel phase:
-/// synthesis fill, dtype conversion, gather scoring.
-fn staged_grid_pass(
+/// Runs the fused gather stages (tile-by-tile synthesis, dtype
+/// conversion, gather scoring) of the given measured layers of each
+/// workload.
+fn fused_pass(
     wls: &[Workload],
     walks: &[StagedWalk],
+    layers: usize,
     stages: &[GatherStage],
     ws: &mut [Vec<StageWorkspace>],
-) -> (Duration, Duration, Duration) {
-    let (mut synth, mut convert, mut gather) = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+) {
     for ((wl, walk), ws) in wls.iter().zip(walks).zip(ws.iter_mut()) {
-        for (layer, retained, positions) in walk {
+        for (layer, retained, positions) in walk.iter().take(layers) {
             for (si, stage) in stages.iter().enumerate() {
                 let ctx = LayerCtx {
                     workload: wl,
@@ -362,19 +358,17 @@ fn staged_grid_pass(
                     retained,
                     positions,
                 };
-                let t = Instant::now();
-                stage.synth_raw(&ctx, &mut ws[si]);
-                synth += t.elapsed();
-                let t = Instant::now();
-                stage.convert(&mut ws[si]);
-                convert += t.elapsed();
-                let t = Instant::now();
-                criterion::black_box(stage.gather(&ctx, &mut ws[si]));
-                gather += t.elapsed();
+                criterion::black_box(stage.run(&ctx, &mut ws[si]));
             }
         }
     }
-    (synth, convert, gather)
+}
+
+/// Wall time of one fused walk over every workload's measured layers.
+fn timed_fused_pass(wls: &[Workload], (walks, stages, ws): &mut StagedFixture) -> Duration {
+    let t = Instant::now();
+    fused_pass(wls, walks, usize::MAX, stages, ws);
+    t.elapsed()
 }
 
 fn bench_serial(c: &mut Criterion) {
@@ -436,114 +430,58 @@ fn bench_temporal_stream(c: &mut Criterion) {
     });
 }
 
-/// The synthesis-only fixture: the grid's measured walks, the four
-/// gather stages at paper config/fp16, and one workspace set per
-/// workload. One constructor serves both the criterion leg and the
-/// snapshot so they can never drift apart.
-#[allow(clippy::type_complexity)]
-fn synthesis_fixture(
-    wls: &[Workload],
-) -> (
-    Vec<Vec<(usize, Vec<usize>)>>,
-    Vec<GatherStage>,
-    Vec<Vec<StageWorkspace>>,
-) {
+/// The synthesis-only fixture: the grid's measured walks and one
+/// synthesiser per workload. One constructor serves both the criterion
+/// leg and the snapshot so they can never drift apart.
+fn synthesis_fixture(wls: &[Workload]) -> (Vec<MeasuredWalk>, Vec<ActivationSynthesizer>) {
     let walks = wls.iter().map(measured_walk).collect();
     let backend = focus_core::obs::kernel_backend();
-    let stages: Vec<GatherStage> = Stage::GATHER_POINTS
+    let syns = wls
         .iter()
-        .map(|&s| GatherStage::new(&FocusConfig::paper(), s, DataType::Fp16, backend))
+        .map(|wl| wl.activation_synthesizer_on(backend))
         .collect();
-    let ws = wls
-        .iter()
-        .map(|wl| {
-            stages
-                .iter()
-                .map(|_| StageWorkspace::new(wl, backend))
-                .collect()
-        })
-        .collect();
-    (walks, stages, ws)
+    (walks, syns)
 }
 
 fn bench_synthesis(c: &mut Criterion) {
     let wls = fig09_grid_workloads();
-    let (walks, stages, mut ws) = synthesis_fixture(&wls);
+    let (walks, mut syns) = synthesis_fixture(&wls);
     c.bench_function("synthesis/activation_synthesis_fig09_grid", |b| {
         b.iter(|| {
-            for ((wl, walk), ws) in wls.iter().zip(&walks).zip(ws.iter_mut()) {
-                synthesis_pass(wl, walk, &stages, ws);
+            for ((wl, walk), syn) in wls.iter().zip(&walks).zip(syns.iter_mut()) {
+                synthesis_pass(wl, walk, syn);
             }
         })
     });
-    // The same Synth work on the kernel's chunked-scalar fallback —
+    // The same synthesis on the kernel's chunked-scalar fallback —
     // values are bit-identical (proptest-enforced), so the pair
     // measures exactly the SIMD dispatch win and nothing else.
     focus_tensor::math::force_scalar(true);
     c.bench_function("synthesis/activation_synthesis_fig09_grid_scalar", |b| {
         b.iter(|| {
-            for ((wl, walk), ws) in wls.iter().zip(&walks).zip(ws.iter_mut()) {
-                synthesis_pass(wl, walk, &stages, ws);
+            for ((wl, walk), syn) in wls.iter().zip(&walks).zip(syns.iter_mut()) {
+                synthesis_pass(wl, walk, syn);
             }
         })
     });
     focus_tensor::math::force_scalar(false);
 }
 
-/// The backend-kernel micro legs, paired dispatched-vs-scalar: gather
-/// scoring re-runs over activations synthesised once in setup (the
-/// gather is read-only on the buffer and re-plans per call), and the
-/// INT8 fake-quantise re-runs on its own output (the round trip is
-/// idempotent: the absmax of a quantised row reproduces its scale).
-/// Values are bit-identical across the pair (proptest-enforced), so
-/// each pair measures exactly the SIMD dispatch win.
+/// The backend-kernel micro legs, paired dispatched-vs-scalar: the
+/// fused gather stages of one grid cell's first measured layer, at both
+/// precisions. Values are bit-identical across the pair
+/// (proptest-enforced), so each pair measures exactly the SIMD dispatch
+/// win.
 fn bench_backend_kernels(c: &mut Criterion) {
     let wls = fig09_grid_workloads();
     let cell = std::slice::from_ref(&wls[0]);
     for (name, backend) in [("simd", simd()), ("scalar", scalar_ref())] {
-        let (walks, stages, mut ws) = staged_fixture(cell, DataType::Fp16, backend);
-        let (layer, retained, positions) = &walks[0][0];
-        for (si, stage) in stages.iter().enumerate() {
-            let ctx = LayerCtx {
-                workload: &wls[0],
-                layer: *layer,
-                retained,
-                positions,
-            };
-            stage.synth(&ctx, &mut ws[0][si]);
+        for (dtype, label) in [(DataType::Fp16, "fp16"), (DataType::Int8, "int8")] {
+            let (walks, stages, mut ws) = staged_fixture(cell, dtype, backend);
+            c.bench_function(&format!("gather/fused_{label}_fig09_cell0_{name}"), |b| {
+                b.iter(|| fused_pass(cell, &walks, 1, &stages, &mut ws))
+            });
         }
-        c.bench_function(&format!("gather/scoring_fig09_cell0_{name}"), |b| {
-            b.iter(|| {
-                for (si, stage) in stages.iter().enumerate() {
-                    let ctx = LayerCtx {
-                        workload: &wls[0],
-                        layer: *layer,
-                        retained,
-                        positions,
-                    };
-                    criterion::black_box(stage.gather(&ctx, &mut ws[0][si]));
-                }
-            })
-        });
-
-        let (walks, stages, mut ws) = staged_fixture(cell, DataType::Int8, backend);
-        let (layer, retained, positions) = &walks[0][0];
-        for (si, stage) in stages.iter().enumerate() {
-            let ctx = LayerCtx {
-                workload: &wls[0],
-                layer: *layer,
-                retained,
-                positions,
-            };
-            stage.synth(&ctx, &mut ws[0][si]);
-        }
-        c.bench_function(&format!("quantize/fake_quantize_fig09_cell0_{name}"), |b| {
-            b.iter(|| {
-                for (si, stage) in stages.iter().enumerate() {
-                    stage.convert(&mut ws[0][si]);
-                }
-            })
-        });
     }
 }
 
@@ -566,19 +504,21 @@ fn median_secs(samples: &mut [Duration]) -> f64 {
 /// already warm from the criterion pass.)
 ///
 /// Synthesis fields (re-baseline v2, batched kernel): `synthesis_only_s`
-/// is the Synth leg on the kernel's chunked-scalar fallback,
+/// is the synthesis-only leg on the kernel's chunked-scalar fallback,
 /// `synthesis_batched_s` the same leg under the default SIMD dispatch
 /// (the one the pipeline actually runs — `synthesis_share` uses it),
 /// and `synthesis_kernel_speedup` their ratio.
 ///
-/// Backend-kernel fields (PR 8, `Backend`-dispatched stage kernels):
-/// `gather_phase_s`/`gather_phase_scalar_s` time the gather-scoring
-/// phase of the grid's measured walks on the dispatched `simd` backend
-/// vs the `scalar` oracle (bit-identical values), and
-/// `gather_kernel_speedup` is their ratio; `gather_share` is gather's
-/// fraction of the staged kernel walk. `quantize_phase_s`/
-/// `quantize_phase_scalar_s`/`quantize_kernel_speedup` are the same
-/// comparison for the whole-matrix INT8 fake-quantise.
+/// Backend-kernel fields (`Backend`-dispatched stage kernels):
+/// `gather_phase_s`/`gather_phase_scalar_s` time the fused FP16 gather
+/// stages (tile-by-tile synthesis, rounding and scoring) along the
+/// grid's measured walks on the dispatched `simd` backend vs the
+/// `scalar` oracle (bit-identical values), and `gather_kernel_speedup`
+/// is their ratio; `gather_share` is the fused walk's share left after
+/// subtracting the synthesis-only leg (`1 - synthesis_batched_s /
+/// gather_phase_s`). `quantize_phase_s`/`quantize_phase_scalar_s`/
+/// `quantize_kernel_speedup` are the same comparison for the fused
+/// INT8 stages (absmax sweep plus per-tile fake-quantise).
 ///
 /// Observability field (PR 10, `focus_core::obs`): `obs_overhead_pct`
 /// re-runs the graph leg with span tracing **on** (Timed kernel
@@ -601,15 +541,13 @@ fn write_snapshot() {
     let traced_graph_runner = graph_runner();
     focus_core::obs::spans::set_enabled(false);
     let graph_runner = graph_runner();
-    let (walks, stages, mut ws) = synthesis_fixture(&wls);
-    // Backend-staged fixtures for the per-phase kernel comparison:
+    let (walks, mut syns) = synthesis_fixture(&wls);
+    // Backend-staged fixtures for the fused-stage comparison:
     // dispatched (`simd`) vs the `scalar` oracle, at both precisions.
-    let (fp16_walks, fp16_stages, mut fp16_ws) = staged_fixture(&wls, DataType::Fp16, simd());
-    let (fp16_sc_walks, fp16_sc_stages, mut fp16_sc_ws) =
-        staged_fixture(&wls, DataType::Fp16, scalar_ref());
-    let (int8_walks, int8_stages, mut int8_ws) = staged_fixture(&wls, DataType::Int8, simd());
-    let (int8_sc_walks, int8_sc_stages, mut int8_sc_ws) =
-        staged_fixture(&wls, DataType::Int8, scalar_ref());
+    let mut fp16 = staged_fixture(&wls, DataType::Fp16, simd());
+    let mut fp16_sc = staged_fixture(&wls, DataType::Fp16, scalar_ref());
+    let mut int8 = staged_fixture(&wls, DataType::Int8, simd());
+    let mut int8_sc = staged_fixture(&wls, DataType::Int8, scalar_ref());
 
     let stream_wls = stream_frame_workloads();
     const TEMPORAL_CORRS: [f64; 3] = [0.0, 0.5, 0.9];
@@ -628,8 +566,6 @@ fn write_snapshot() {
     let mut temporal_stats = [SessionStats::default(); 3];
     let mut synth = Vec::with_capacity(SAMPLES);
     let mut synth_scalar = Vec::with_capacity(SAMPLES);
-    let mut staged_synth = Vec::with_capacity(SAMPLES);
-    let mut staged_convert = Vec::with_capacity(SAMPLES);
     let mut gather_fast = Vec::with_capacity(SAMPLES);
     let mut gather_scalar = Vec::with_capacity(SAMPLES);
     let mut quant_fast = Vec::with_capacity(SAMPLES);
@@ -669,32 +605,25 @@ fn write_snapshot() {
         criterion::black_box(temporal_session(&temporal_wls[2], None));
         temporal_isolated.push(t.elapsed());
         let t = Instant::now();
-        for ((wl, walk), ws) in wls.iter().zip(&walks).zip(ws.iter_mut()) {
-            synthesis_pass(wl, walk, &stages, ws);
+        for ((wl, walk), syn) in wls.iter().zip(&walks).zip(syns.iter_mut()) {
+            synthesis_pass(wl, walk, syn);
         }
         synth.push(t.elapsed());
-        // The identical Synth work on the chunked-scalar fallback:
-        // the batched-vs-scalar kernel comparison.
+        // The identical synthesis on the chunked-scalar fallback: the
+        // batched-vs-scalar kernel comparison.
         focus_tensor::math::force_scalar(true);
         let t = Instant::now();
-        for ((wl, walk), ws) in wls.iter().zip(&walks).zip(ws.iter_mut()) {
-            synthesis_pass(wl, walk, &stages, ws);
+        for ((wl, walk), syn) in wls.iter().zip(&walks).zip(syns.iter_mut()) {
+            synthesis_pass(wl, walk, syn);
         }
         synth_scalar.push(t.elapsed());
         focus_tensor::math::force_scalar(false);
-        // Per-phase kernel times on the dispatched backend vs the
-        // scalar oracle: gather scoring (fp16 legs) and the INT8
-        // fake-quantise (int8 legs).
-        let (s, cv, g) = staged_grid_pass(&wls, &fp16_walks, &fp16_stages, &mut fp16_ws);
-        staged_synth.push(s);
-        staged_convert.push(cv);
-        gather_fast.push(g);
-        let (_, _, g) = staged_grid_pass(&wls, &fp16_sc_walks, &fp16_sc_stages, &mut fp16_sc_ws);
-        gather_scalar.push(g);
-        let (_, cv, _) = staged_grid_pass(&wls, &int8_walks, &int8_stages, &mut int8_ws);
-        quant_fast.push(cv);
-        let (_, cv, _) = staged_grid_pass(&wls, &int8_sc_walks, &int8_sc_stages, &mut int8_sc_ws);
-        quant_scalar.push(cv);
+        // Fused-stage times on the dispatched backend vs the scalar
+        // oracle, at both precisions.
+        gather_fast.push(timed_fused_pass(&wls, &mut fp16));
+        gather_scalar.push(timed_fused_pass(&wls, &mut fp16_sc));
+        quant_fast.push(timed_fused_pass(&wls, &mut int8));
+        quant_scalar.push(timed_fused_pass(&wls, &mut int8_sc));
     }
     // The obs pair alone gets extra interleaved samples: the overhead
     // under test (~1%) is an order of magnitude below this machine's
@@ -747,14 +676,12 @@ fn write_snapshot() {
     let graph_traced_s = median_secs(&mut graph_traced);
     let synth_scalar_s = median_secs(&mut synth_scalar);
     let synthesis_kernel_speedup = synth_scalar_s / synth_s;
-    let staged_synth_s = median_secs(&mut staged_synth);
-    let staged_convert_s = median_secs(&mut staged_convert);
     let gather_phase_s = median_secs(&mut gather_fast);
     let gather_phase_scalar_s = median_secs(&mut gather_scalar);
     let gather_kernel_speedup = gather_phase_scalar_s / gather_phase_s;
-    // Gather's share of the staged kernel walk (synth + convert +
-    // gather), all on the dispatched backend.
-    let gather_share = gather_phase_s / (staged_synth_s + staged_convert_s + gather_phase_s);
+    // The fused walk's share beyond synthesis alone, both on the
+    // dispatched backend.
+    let gather_share = 1.0 - synth_s / gather_phase_s;
     let quantize_phase_s = median_secs(&mut quant_fast);
     let quantize_phase_scalar_s = median_secs(&mut quant_scalar);
     let quantize_kernel_speedup = quantize_phase_scalar_s / quantize_phase_s;

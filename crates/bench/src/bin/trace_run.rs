@@ -101,14 +101,13 @@ fn main() {
     }
 
     // ---- pipelining evidence ---------------------------------------
-    // The schedule's whole point: layer l's gather overlapping layer
-    // l+1's synthesis on another worker, and cross-worker concurrency
-    // at all.
+    // The schedule's whole point: layer l's gathers overlapping layer
+    // l+1's on another worker, and cross-worker concurrency at all.
     let overlapping = |a: &obs::Span, b: &obs::Span| {
         a.worker != b.worker && a.t_start_us < b.t_end_us && b.t_start_us < a.t_end_us
     };
     let mut cross_worker = 0u64;
-    let mut gather_synth = 0u64;
+    let mut gather_next = 0u64;
     for a in &spans {
         for b in &spans {
             if !overlapping(a, b) {
@@ -116,10 +115,10 @@ fn main() {
             }
             cross_worker += 1;
             if a.kind == SpanKind::Gather
-                && b.kind == SpanKind::Synth
+                && b.kind == SpanKind::Gather
                 && a.layer.zip(b.layer).is_some_and(|(la, lb)| lb == la + 1)
             {
-                gather_synth += 1;
+                gather_next += 1;
             }
         }
     }
@@ -134,7 +133,7 @@ fn main() {
         println!("    {:<12} {}", kind.name(), counts[kind.index()]);
     }
     println!("  cross-worker overlapping span pairs: {cross_worker}");
-    println!("  gather(l) ↔ synth(l+1) overlaps:     {gather_synth}");
+    println!("  gather(l) ↔ gather(l+1) overlaps:    {gather_next}");
 
     // ---- registry snapshot -----------------------------------------
     println!("service snapshot:\n{}", service.snapshot().to_json());

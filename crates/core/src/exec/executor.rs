@@ -63,25 +63,26 @@ pub(crate) fn resolve_threads() -> usize {
 pub enum ExecMode {
     /// The independent oracle schedule: a plain sequential loop over
     /// layers and, within each layer, over the four gather stages. Each
-    /// stage call runs on a fresh workspace (fresh synthesiser, fresh
-    /// activation buffer and gather scratch), so no memo carries over
-    /// and there is no cross-layer overlap. Kept as the bit-exactness
-    /// baseline every other schedule is checked against.
+    /// stage call runs on a fresh workspace (fresh synthesiser, tile
+    /// buffer and gather scratch), so no memo carries over and there
+    /// is no cross-layer overlap. Kept as the bit-exactness baseline
+    /// every other schedule is checked against.
     Serial,
     /// The task-graph schedule (the default): every layer decomposes
-    /// into `Sec`, per-stage `Synth` and `Gather`, `FoldStats`,
-    /// `Absorb` and `Lower` task nodes with explicit data
-    /// dependencies, run on the persistent [`crate::exec::FocusService`]
-    /// worker pool. `depth` is the number of layers whose
-    /// synthesis/gather work may be in flight at once (each in-flight
-    /// layer holds one workspace per gather stage); the SEC chain and
+    /// into `Sec`, per-stage fused `Gather` (synthesis streamed tile by
+    /// tile into the gather), `FoldStats`, `Absorb` and `Lower` task
+    /// nodes with explicit data dependencies, run on the persistent
+    /// [`crate::exec::FocusService`] worker pool. The SEC chain and
     /// the fold/lowering tail stream ahead and behind without further
     /// barriers, and [`crate::exec::BatchRunner`] feeds many workloads'
     /// graphs into the same pool so stages of different requests
     /// interleave.
     Graph {
-        /// Cross-layer synthesis window (≥ 1); 2 matches the hardware's
-        /// double-buffered activation stream.
+        /// Fused workspaces per gather stage (≥ 1): how many layers'
+        /// gathers of one stage may be in flight at once. A workspace
+        /// holds no activation matrix (only the synthesiser memo, one
+        /// tile buffer and the gather scratch), so depth bounds
+        /// concurrency, not memory.
         depth: usize,
     },
     /// Source-compatibility alias for the retired two-slot pipelined
@@ -170,9 +171,9 @@ impl ExecMode {
         }
     }
 
-    /// Workspace ring length per gather stage: how many layers' worth
-    /// of synthesis may be in flight under this schedule. `Serial`
-    /// builds a fresh workspace per stage call and holds none.
+    /// Workspace ring length per gather stage: how many layers' fused
+    /// gathers may be in flight under this schedule. `Serial` builds a
+    /// fresh workspace per stage call and holds none.
     pub(crate) fn ring(self) -> usize {
         match self {
             ExecMode::Serial => 0,
@@ -281,9 +282,9 @@ pub struct LayerExecutor {
     /// Workspace ring: `ring` slots per gather stage (flattened
     /// `stage * ring + slot`), lock-per-slot so concurrent stage nodes
     /// never share mutable state. Graph mode keeps `depth` slots so
-    /// `depth` layers' synthesis can be in flight; serial mode keeps
-    /// none. (The semantic stage needs no workspace and runs through
-    /// its inherent `prune_layer`.)
+    /// `depth` layers' fused gathers can be in flight; serial mode
+    /// keeps none. (The semantic stage needs no workspace and runs
+    /// through its inherent `prune_layer`.)
     gather_ws: Vec<Mutex<StageWorkspace>>,
 }
 

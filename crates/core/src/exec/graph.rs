@@ -10,8 +10,7 @@
 //! | node | work | depends on |
 //! |---|---|---|
 //! | `Sec(l)` | semantic pruning → retained set + positions | `Sec(l-1)` |
-//! | `Synth(l,s)` | activation synthesis (Box–Muller) for gather stage `s` | `Sec(l)`, `Gather(l',s)` of the layer `depth` measured-layers back (workspace ring) |
-//! | `Gather(l,s)` | similarity gather over the synthesised activations | `Synth(l,s)` |
+//! | `Gather(l,s)` | fused stage `s`: activation synthesis (Box–Muller) streamed tile by tile into the similarity gather | `Sec(l)`, `Gather(l',s)` of the layer `depth` measured-layers back (workspace ring) |
 //! | `FoldStats(l)` | pure statistics fold of the four gathers (parallel-safe) | `Gather(l,0..4)` |
 //! | `Absorb(l)` | in-order absorption into the measured run | `FoldStats(l)`, `Sec(l)`, `Absorb(l-1)` |
 //! | `Lower(l)` | the layer's 7-GEMM lowering to paper-scale work items | `Absorb(l)` |
@@ -22,7 +21,7 @@
 //! make results bit-identical to [`ExecMode::Serial`]. The expensive
 //! per-layer statistics reduction (`FoldStats`) floats **outside** the
 //! ordered chain: layer *l*'s fold and lowering overlap layer *l+1*'s
-//! synthesis and SEC at any depth, and since every job shares one
+//! gathers and SEC at any depth, and since every job shares one
 //! scheduler — batches, single runs and streaming frames alike —
 //! stages of *different requests* interleave on the same workers, the
 //! streaming-serving shape of the paper's architecture.
@@ -82,7 +81,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use focus_sim::{Engine, SimReport};
-use focus_tensor::quant::DataType;
 
 use crate::exec::batch::BatchJob;
 use crate::exec::executor::{fold_gathers, ExecMode, LayerExecutor, LayerRecord};
@@ -874,16 +872,9 @@ struct LayerInput {
 pub(crate) enum NodeKind {
     /// Semantic pruning of one layer (sequential chain).
     Sec(usize),
-    /// Activation synthesis for (layer, stage) into ring `slot`.
-    Synth {
-        /// Layer index.
-        layer: usize,
-        /// Gather-stage index.
-        stage: usize,
-        /// Workspace ring slot.
-        slot: usize,
-    },
-    /// Similarity gather over the synthesised activations.
+    /// The fused (layer, stage) node on ring `slot`'s workspace:
+    /// activation synthesis streamed tile by tile into the similarity
+    /// gather.
     Gather {
         /// Layer index.
         layer: usize,
@@ -913,11 +904,6 @@ impl NodeKind {
                 kind: SpanKind::Sec,
                 layer: Some(layer),
                 stage: None,
-            },
-            NodeKind::Synth { layer, stage, .. } => SpanLabel {
-                kind: SpanKind::Synth,
-                layer: Some(layer),
-                stage: Some(stage),
             },
             NodeKind::Gather { layer, stage, .. } => SpanLabel {
                 kind: SpanKind::Gather,
@@ -954,6 +940,7 @@ pub(crate) struct PipelineGraph {
     job: BatchJob,
     /// When present, `Finish` also runs the cycle simulation.
     engine: Option<Arc<Engine>>,
+    /// Fused workspaces per gather stage (the ring length).
     depth: usize,
     /// Node inventory: stages, workspace ring, measurement predicate.
     exec: LayerExecutor,
@@ -973,16 +960,16 @@ pub(crate) struct PipelineGraph {
     recycled: Mutex<Option<MeasureBuffers>>,
     /// The owning session's cross-frame temporal cache, when temporal
     /// concentration is enabled: FP16 gather nodes probe/commit through
-    /// it (INT8 gathers never carry — see `gather_task`).
+    /// it (INT8 gathers never carry — see [`crate::exec::GatherStage::gather`]).
     /// The session retains its own `Arc` (no reclaim needed).
     temporal: Option<Arc<crate::sic::TemporalCache>>,
 }
 
 impl PipelineGraph {
     /// Prepares the shared state of one run of `job` at pipeline depth
-    /// `depth` (≥ 1 in-flight layers of synthesis per gather stage),
-    /// optionally over session-donated warm state: the shared retention
-    /// plan plus recycled stage scratch and measure buffers.
+    /// `depth` (≥ 1 fused workspaces — in-flight layers — per gather
+    /// stage), optionally over session-donated warm state: the shared
+    /// retention plan plus recycled stage scratch and measure buffers.
     /// Bit-identical to a cold build — warm state is allocation/plan
     /// reuse only.
     pub(crate) fn with_warm(
@@ -1055,13 +1042,10 @@ impl PipelineGraph {
                 };
                 let mut gathers = Vec::with_capacity(stages_n);
                 for (stage, ring_free) in ring_frees.into_iter().enumerate() {
-                    let mut synth_deps = vec![sec];
-                    synth_deps.extend(ring_free);
-                    let synth = nodes.len();
-                    nodes.push((synth_deps, NodeKind::Synth { layer, stage, slot }));
-                    let gather = nodes.len();
-                    nodes.push((vec![synth], NodeKind::Gather { layer, stage, slot }));
-                    gathers.push(gather);
+                    let mut deps = vec![sec];
+                    deps.extend(ring_free);
+                    gathers.push(nodes.len());
+                    nodes.push((deps, NodeKind::Gather { layer, stage, slot }));
                 }
                 let fold = nodes.len();
                 nodes.push((gathers.clone(), NodeKind::FoldStats(layer)));
@@ -1085,7 +1069,6 @@ impl PipelineGraph {
     pub(crate) fn run_node(&self, kind: NodeKind) {
         match kind {
             NodeKind::Sec(layer) => self.sec_task(layer),
-            NodeKind::Synth { layer, stage, slot } => self.synth_task(layer, stage, slot),
             NodeKind::Gather { layer, stage, slot } => self.gather_task(layer, stage, slot),
             NodeKind::FoldStats(layer) => self.fold_stats_task(layer),
             NodeKind::Absorb(layer) => self.absorb_task(layer),
@@ -1162,25 +1145,14 @@ impl PipelineGraph {
         }
     }
 
-    fn synth_task(&self, layer: usize, stage: usize, slot: usize) {
-        let ws = self.exec.workspace(stage, slot);
-        self.exec.gather_stages()[stage].synth(&self.ctx(layer), &mut lock_clean(ws));
-    }
-
     fn gather_task(&self, layer: usize, stage: usize, slot: usize) {
         let ws = self.exec.workspace(stage, slot);
-        // The carry proof (unchanged signature + fresh anchor + stable
-        // tile ⇒ byte replay) covers raw synthesised bytes and FP16's
-        // per-element rounding, but INT8 scales each row by its absmax
-        // over *all* columns — an unstable tile moves the scale of the
-        // stable ones. INT8 stages therefore never carry.
-        let gather = &self.exec.gather_stages()[stage];
-        let stats = match &self.temporal {
-            Some(cache) if self.job.pipeline.dtype != DataType::Int8 => {
-                gather.gather_temporal(&self.ctx(layer), &mut lock_clean(ws), cache, stage)
-            }
-            _ => gather.gather(&self.ctx(layer), &mut lock_clean(ws)),
-        };
+        let temporal = self.temporal.as_deref().map(|cache| (cache, stage));
+        let stats = self.exec.gather_stages()[stage].gather(
+            &self.ctx(layer),
+            &mut lock_clean(ws),
+            temporal,
+        );
         let stages_n = self.exec.gather_stages().len();
         *lock_clean(&self.gathered[layer * stages_n + stage]) = Some(stats);
     }

@@ -9,20 +9,22 @@
 //! * [`ConcentrationStage`] — one graph node: a pure
 //!   `(LayerCtx, StageWorkspace) → StageOutput` function, `Sync` so
 //!   nodes can run concurrently over per-node workspaces;
-//! * [`StageWorkspace`] — thread-reusable scratch per node (resident
-//!   activation synthesiser, recycled activation matrix, flat gather
-//!   lookup) so the measured phase never re-allocates or re-hashes on
-//!   its hot path;
+//! * [`StageWorkspace`] — thread-reusable scratch per fused gather
+//!   node (resident activation synthesiser, recycled tile buffer, flat
+//!   gather lookup) so the measured phase never re-allocates or
+//!   re-hashes on its hot path, and never holds a whole activation
+//!   matrix;
 //! * [`LayerExecutor`] — the node inventory of one workload (SEC, the
 //!   four gather stages, their workspace ring, the measurement plan)
 //!   and the layer loop of [`ExecMode::Serial`], the independent
 //!   oracle schedule every other path is checked against;
 //! * the [`graph`] module — the schedule behind [`ExecMode::Graph`],
 //!   the default: each run is a pipeline graph that owns its inputs,
-//!   each layer decomposes into `Sec`/`Synth`/`Gather`/`Fold`/`Lower`
-//!   task nodes with explicit dependencies, and a work-stealing
-//!   scheduler overlaps layer *l*'s fold/lowering with layer *l+1*'s
-//!   synthesis and SEC at any pipeline depth — as the hardware streams
+//!   each layer decomposes into `Sec`/`Gather`/`Fold`/`Lower` task
+//!   nodes with explicit dependencies (synthesis streams tile by tile
+//!   inside the fused `Gather`), and a work-stealing scheduler
+//!   overlaps layer *l*'s fold/lowering with layer *l+1*'s gathers and
+//!   SEC at any pipeline depth — as the hardware streams
 //!   SEC of layer *l+1* alongside the FC gathers of layer *l*, and
 //!   across workload boundaries when batched;
 //! * [`BatchRunner`] — runs many independent jobs (`run_many` for

@@ -8,17 +8,28 @@
 //! gather stages of a layer concurrently with results bit-identical to
 //! a serial sweep — there is no shared mutable state to race on.
 //!
+//! A gather stage is **fused**: like the accelerator, which
+//! concentrates each GEMM output tile as it streams out of the array,
+//! it synthesises its activations one `tile_m × vector_len` tile at a
+//! time, applies the datapath precision to the tile and gathers it at
+//! once ([`GatherStage::gather`]). No `rows × width` activation matrix
+//! exists anywhere; an INT8 stage pays one extra synthesis sweep per
+//! m-tile for the per-row absmax its scales need.
+//!
 //! Stages do not *own* scratch state; they borrow a [`StageWorkspace`]
 //! per call. The workspace is pure memo + recycled buffers (activation
-//! synthesiser, activation matrix, gather scratch): rows are pure
-//! functions of `(scene, seed, layer, stage)`, so a stage run against a
+//! synthesiser, tile buffer, gather scratch): rows are pure functions
+//! of `(scene, seed, layer, stage)`, so a stage run against a
 //! workspace that has served any number of previous layers returns
 //! byte-identical output to one run against a fresh workspace. The
 //! [`ExecMode::Serial`](crate::exec::ExecMode::Serial) oracle builds a
 //! fresh workspace per call, and `tests/batch_determinism.rs` asserts
 //! the equivalence.
 
+use std::ops::Range;
+
 use focus_tensor::backend::BackendHandle;
+use focus_tensor::ops::vector_ranges;
 use focus_tensor::quant::DataType;
 use focus_tensor::Matrix;
 use focus_vlm::attention::AttentionSynthesizer;
@@ -29,7 +40,8 @@ use crate::config::FocusConfig;
 use crate::pipeline::SecLayerStats;
 use crate::sec::SemanticConcentrator;
 use crate::sic::{
-    ConvLayouter, Fhw, GatherScratch, MatrixGatherStats, SimilarityConcentrator, TemporalCache,
+    CarryMask, ConvLayouter, Fhw, GatherScratch, MatrixGatherStats, SimilarityConcentrator,
+    TemporalCache, TileSource,
 };
 
 /// Everything a concentration stage may read while processing one
@@ -47,19 +59,16 @@ pub struct LayerCtx<'a> {
 }
 
 /// The **workload-independent** half of a [`StageWorkspace`]: the
-/// recycled activation matrix and the flat gather lookup + per-m-tile
-/// candidate plan. Unlike the activation synthesiser (which holds
-/// one workload's scene), this scratch carries no per-scene state —
-/// the lookup is epoch-stamped and the matrix fully overwritten per
-/// call — so a [`crate::exec::StreamSession`] keeps it resident
-/// *across frames* of a feed (same grid geometry), byte-identical to
-/// building it fresh.
+/// gather scratch (flat lookup, per-m-tile candidate plan and the
+/// recycled `tile_m × vector_len` tile buffer). Unlike the activation
+/// synthesiser (which holds one workload's scene), this scratch
+/// carries no per-scene state — the lookup is epoch-stamped and the
+/// tile fully overwritten per fill — so a
+/// [`crate::exec::StreamSession`] keeps it resident *across frames* of
+/// a feed (same grid geometry), byte-identical to building it fresh.
 pub struct StageScratch {
-    /// Recycled activation buffer (`retained × stage width`).
-    pub acts: Matrix,
-    /// Recycled gather scratch: flat position lookup + per-m-tile
-    /// candidate plan. Sized by the frame grid; reusable across any
-    /// workloads sharing that grid.
+    /// Recycled gather scratch. Sized by the frame grid; reusable
+    /// across any workloads sharing that grid.
     pub gather: GatherScratch,
 }
 
@@ -67,7 +76,6 @@ impl StageScratch {
     /// Fresh scratch for stages gathering on `layouter`'s frame grid.
     pub fn new(layouter: &ConvLayouter) -> Self {
         StageScratch {
-            acts: Matrix::zeros(0, 0),
             gather: GatherScratch::new(layouter),
         }
     }
@@ -86,15 +94,16 @@ impl StageScratch {
     }
 }
 
-/// Thread-reusable scratch state for one stage-graph node: the
+/// Thread-reusable scratch state for one fused gather node: the
 /// activation synthesiser (with its content-appearance memo) plus the
-/// workload-independent [`StageScratch`] (recycled activation matrix,
-/// flat gather position lookup).
+/// workload-independent [`StageScratch`] (tile buffer, flat gather
+/// position lookup).
 ///
 /// One workspace serves one stage across every layer of a run; the
-/// executor keeps one per node so the four gather stages can run
-/// concurrently without sharing mutable state. Streaming sessions
-/// additionally recycle the [`StageScratch`] half across frames.
+/// executor keeps a ring of them per stage so the four gather stages
+/// (and several layers) can run concurrently without sharing mutable
+/// state. Streaming sessions additionally recycle the [`StageScratch`]
+/// half across frames.
 pub struct StageWorkspace {
     /// The resident activation synthesiser.
     pub syn: ActivationSynthesizer,
@@ -238,7 +247,7 @@ impl ConcentrationStage for SemanticStage {
 
 /// One similarity concentration stage: gathers a single FC output
 /// (PV, O-proj, FFN activation or FFN down) over synthesised
-/// activations.
+/// activations, streamed tile by tile.
 pub struct GatherStage {
     /// The gather point this stage measures.
     pub stage: Stage,
@@ -249,8 +258,8 @@ pub struct GatherStage {
 
 impl GatherStage {
     /// Builds the stage for one gather point. Every hot kernel the
-    /// stage launches (gather scoring, dtype conversion, synthesis
-    /// fill) dispatches through `backend`.
+    /// stage launches (synthesis fill, dtype conversion, gather
+    /// scoring) dispatches through `backend`.
     ///
     /// The tile height is NOT scaled down with the frame count: what
     /// governs boundary statistics is the tile span measured in frames
@@ -276,6 +285,58 @@ impl GatherStage {
     pub fn backend(&self) -> BackendHandle {
         self.backend
     }
+
+    /// The fused *Gather* node of the task graph: synthesises this
+    /// stage's activations for the layer one `tile_m × vector_len` tile
+    /// at a time into the workspace's tile buffer, applies the datapath
+    /// precision (FP16 rounding, or INT8 fake-quantisation at each
+    /// row's whole-row scale) and gathers the tile at once. The
+    /// synthesiser's memo stays warm across calls, bit-identical to a
+    /// fresh build: rows are pure functions of (scene, seed, layer,
+    /// stage), and every conversion is per element (FP16) or per row
+    /// at the row's absmax over all columns (INT8) — exactly the
+    /// whole-matrix conversion.
+    ///
+    /// `temporal` is the optional cross-frame probe `(cache,
+    /// stage_index)`: streaming sessions pass their [`TemporalCache`]
+    /// so rows proven to replay the anchored frame bit-for-bit
+    /// (unchanged signature, fresh anchor, stability-model-stable
+    /// tile) are carried — and never synthesised — instead of
+    /// re-gathered. `stage_index` selects the cache plane (the
+    /// executor's gather-stage ordinal); `ctx.retained` keys rows to
+    /// absolute token indices. The carry proof covers raw synthesised
+    /// bytes and FP16's per-element rounding, but INT8 scales each row
+    /// by its absmax over *all* columns — an unstable tile moves the
+    /// scale of the stable ones — so INT8 stages ignore the probe and
+    /// never carry.
+    pub fn gather(
+        &self,
+        ctx: &LayerCtx<'_>,
+        ws: &mut StageWorkspace,
+        temporal: Option<(&TemporalCache, usize)>,
+    ) -> MatrixGatherStats {
+        let width = self.stage.width(ctx.workload.scaled_model());
+        let temporal = temporal
+            .filter(|_| self.dtype == DataType::Fp16)
+            .map(|(cache, stage_index)| (cache, ctx.retained, ctx.layer, stage_index));
+        let source = StageTiles {
+            syn: &mut ws.syn,
+            ctx,
+            stage: self.stage,
+            width,
+            v_len: self.concentrator.vector_len.min(width),
+            dtype: self.dtype,
+            backend: self.backend,
+            absmax: Vec::new(),
+        };
+        self.concentrator.gather_matrix(
+            source,
+            ctx.positions,
+            &mut ws.scratch.gather,
+            temporal,
+            self.backend,
+        )
+    }
 }
 
 impl ConcentrationStage for GatherStage {
@@ -290,92 +351,67 @@ impl ConcentrationStage for GatherStage {
     }
 
     fn run(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace) -> StageOutput {
-        self.synth(ctx, ws);
         StageOutput::Gathered {
             stage: self.stage,
-            stats: self.gather(ctx, ws),
+            stats: self.gather(ctx, ws, None),
         }
     }
 }
 
-impl GatherStage {
-    /// The *Synth* node of the task graph: synthesises (and quantises)
-    /// this stage's activations for the layer into the workspace's
-    /// recycled buffer. The synthesiser's memo cache stays warm across
-    /// calls, bit-identical to a fresh build: rows are pure functions
-    /// of (scene, seed, layer, stage) and every row is fully
-    /// overwritten. Value generation runs through the batched
-    /// fixed-polynomial Box–Muller kernel (`focus_tensor::math`),
-    /// whose SIMD and scalar paths are bit-identical — so the node's
-    /// output does not depend on which machine or dispatch path ran
-    /// it, only on the workload.
-    pub fn synth(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace) {
-        self.synth_raw(ctx, ws);
-        self.convert(ws);
+/// The fused stage's [`TileSource`]: the layer's activations of one
+/// gather point, synthesised a tile at a time at the stage's datapath
+/// precision.
+struct StageTiles<'a> {
+    syn: &'a mut ActivationSynthesizer,
+    ctx: &'a LayerCtx<'a>,
+    stage: Stage,
+    width: usize,
+    v_len: usize,
+    dtype: DataType,
+    backend: BackendHandle,
+    /// INT8: each selected row's absmax over every column.
+    absmax: Vec<f32>,
+}
+
+impl TileSource for StageTiles<'_> {
+    fn shape(&self) -> (usize, usize) {
+        (self.ctx.retained.len(), self.width)
     }
 
-    /// The synthesis half of [`GatherStage::synth`]: fills the
-    /// workspace's recycled buffer with this stage's full-precision
-    /// activations, without the dtype pass. Split out so the bench can
-    /// time synthesis and conversion separately.
-    pub fn synth_raw(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace) {
-        let width = self.stage.width(ctx.workload.scaled_model());
-        ws.syn.activations_into(
-            ctx.retained,
-            ctx.layer,
-            self.stage,
-            width,
-            &mut ws.scratch.acts,
-        );
-    }
-
-    /// The dtype half of [`GatherStage::synth`]: applies this stage's
-    /// datapath precision to the synthesised buffer through the
-    /// backend's whole-matrix conversion kernel (FP16 rounding or INT8
-    /// fake-quantisation).
-    pub fn convert(&self, ws: &mut StageWorkspace) {
-        match self.dtype {
-            DataType::Fp16 => self.backend.f16_round(&mut ws.scratch.acts),
-            DataType::Int8 => self.backend.fake_quantize(&mut ws.scratch.acts),
+    /// Resolves the m-tile's synthesis recipes; INT8 additionally
+    /// sweeps the m-tile once, tile by tile, for each row's absmax —
+    /// max is order-independent, so this is the whole-row absmax bit
+    /// for bit.
+    fn begin_rows(&mut self, rows: Range<usize>, buf: &mut Matrix) {
+        let tokens = &self.ctx.retained[rows.clone()];
+        self.syn
+            .prepare_rows(tokens, self.ctx.layer, self.stage, self.width);
+        if self.dtype == DataType::Int8 {
+            self.absmax.clear();
+            self.absmax.resize(rows.len(), 0.0);
+            for cols in vector_ranges(self.width, self.v_len) {
+                buf.resize(rows.len(), cols.len());
+                self.syn.fill_columns(cols, |_| false, buf.as_mut_slice());
+                self.backend.row_absmax(buf, &mut self.absmax);
+            }
         }
     }
 
-    /// The *Gather* node of the task graph: runs the similarity gather
-    /// over the activations a prior [`GatherStage::synth`] call left in
-    /// `ws.acts`. Split from [`ConcentrationStage::run`] so the
-    /// graph scheduler can overlap one layer's gathers with another
-    /// layer's synthesis at any pipeline depth.
-    pub fn gather(&self, ctx: &LayerCtx<'_>, ws: &mut StageWorkspace) -> MatrixGatherStats {
-        self.concentrator.gather_matrix(
-            &ws.scratch.acts,
-            ctx.positions,
-            &mut ws.scratch.gather,
-            None,
-            self.backend,
-        )
-    }
-
-    /// [`GatherStage::gather`] with a cross-frame temporal probe:
-    /// streaming sessions pass their [`TemporalCache`] so rows proven
-    /// to replay the anchored frame bit-for-bit (unchanged signature,
-    /// fresh anchor, stability-model-stable tile) are carried instead
-    /// of re-gathered. `stage_index` selects the cache plane
-    /// (the executor's gather-stage ordinal); `ctx.retained` keys rows
-    /// to absolute token indices.
-    pub fn gather_temporal(
-        &self,
-        ctx: &LayerCtx<'_>,
-        ws: &mut StageWorkspace,
-        cache: &TemporalCache,
-        stage_index: usize,
-    ) -> MatrixGatherStats {
-        self.concentrator.gather_matrix(
-            &ws.scratch.acts,
-            ctx.positions,
-            &mut ws.scratch.gather,
-            Some((cache, ctx.retained, ctx.layer, stage_index)),
-            self.backend,
-        )
+    fn fill(
+        &mut self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        carry: Option<(&CarryMask, usize)>,
+        out: &mut Matrix,
+    ) {
+        out.resize(rows.len(), cols.len());
+        let carried =
+            |local: usize| carry.is_some_and(|(mask, ct)| mask.carried(local, ct).is_some());
+        self.syn.fill_columns(cols, carried, out.as_mut_slice());
+        match self.dtype {
+            DataType::Fp16 => self.backend.f16_round(out),
+            DataType::Int8 => self.backend.fake_quantize(out, &self.absmax),
+        }
     }
 }
 
@@ -384,14 +420,17 @@ mod tests {
     use super::*;
     use crate::sic::gather::{gather_tile, hashmap_plan};
     use focus_tensor::backend;
-    use focus_tensor::ops::vector_ranges;
     use focus_vlm::{DatasetKind, ModelKind, WorkloadScale};
 
-    /// On real synthesised activations of every gather stage, at both
-    /// datapath precisions, every tile of the stage's sweep gathers
-    /// bit-identically through the flat-lookup plan and through the
-    /// `HashMap` candidate oracle, and the stage's matrix statistics
-    /// count exactly those tiles' comparisons and matches.
+    /// The streamed, fused stage against an unfused oracle, on real
+    /// synthesised activations of every gather stage at both datapath
+    /// precisions: the oracle synthesises the whole matrix, converts it
+    /// whole through the software references (FP16 rounding, whole-row
+    /// INT8 fake-quantise), and sweeps every tile through the `HashMap` candidate
+    /// plan (which must also gather each tile bit-identically to the
+    /// flat-lookup plan). The stage's statistics must match the oracle
+    /// exactly — matches, comparisons, per-tile `p` and every row
+    /// fidelity bit.
     #[test]
     fn planned_gather_matches_hashmap_oracle_on_synthesised_stages() {
         let wl = Workload::new(
@@ -410,6 +449,7 @@ mod tests {
             for stage in Stage::GATHER_POINTS {
                 let gather = GatherStage::new(&config, stage, dtype, backend);
                 let mut ws = StageWorkspace::new(&wl, backend);
+                let width = stage.width(scaled);
                 for (layer, keep_every) in [(0usize, 1usize), (7, 3)] {
                     let retained: Vec<usize> =
                         (0..wl.image_tokens_scaled()).step_by(keep_every).collect();
@@ -423,29 +463,37 @@ mod tests {
                         retained: &retained,
                         positions: &positions,
                     };
-                    gather.synth(&ctx, &mut ws);
-                    let acts = &ws.scratch.acts;
-                    let col_ranges = vector_ranges(acts.cols(), conc.vector_len.min(acts.cols()));
+                    let mut acts = wl
+                        .activation_synthesizer_on(backend)
+                        .activations(&retained, layer, stage, width);
+                    match dtype {
+                        DataType::Fp16 => acts.round_to_f16(),
+                        DataType::Int8 => focus_tensor::quant::fake_quantize_in_place(&mut acts),
+                    }
+                    let col_ranges = vector_ranges(width, conc.vector_len.min(width));
                     let mut plan = GatherScratch::new(&layouter);
                     let (mut matches, mut comparisons) = (0, 0);
+                    let mut tile_p = Vec::new();
+                    let mut row_fidelity = vec![0.0f32; acts.rows()];
                     for row_start in (0..acts.rows()).step_by(conc.tile_m) {
                         let row_count = conc.tile_m.min(acts.rows() - row_start);
                         let block = conc.gather.block;
                         plan.plan_tile(&positions, row_start, row_count, block);
                         let oracle = hashmap_plan(&positions, row_start, row_count, block);
-                        for col_range in &col_ranges {
-                            let planned = gather_tile(
-                                acts,
-                                &plan,
-                                col_range.clone(),
+                        for cols in &col_ranges {
+                            let tile = acts.submatrix(row_start, row_count, cols.start, cols.len());
+                            let reference = gather_tile(
+                                &tile,
+                                &oracle,
+                                0..cols.len(),
                                 &conc.gather,
                                 None,
                                 backend,
                             );
-                            let reference = gather_tile(
-                                acts,
-                                &oracle,
-                                col_range.clone(),
+                            let planned = gather_tile(
+                                &tile,
+                                &plan,
+                                0..cols.len(),
                                 &conc.gather,
                                 None,
                                 backend,
@@ -453,14 +501,26 @@ mod tests {
                             assert_eq!(
                                 planned, reference,
                                 "layer {layer}, {stage:?}, {dtype}, rows {row_start}+{row_count}, \
-                                 cols {col_range:?}"
+                                 cols {cols:?}"
                             );
                             matches += reference.matches;
                             comparisons += reference.comparisons;
+                            tile_p.push(reference.p());
+                            for (local, &f) in reference.fidelity.iter().enumerate() {
+                                row_fidelity[row_start + local] += f / col_ranges.len() as f32;
+                            }
                         }
                     }
-                    let stats = gather.gather(&ctx, &mut ws);
-                    assert_eq!((stats.matches, stats.comparisons), (matches, comparisons));
+                    let stats = gather.gather(&ctx, &mut ws, None);
+                    let at = format!("layer {layer}, {stage:?}, {dtype}");
+                    assert_eq!(
+                        (stats.matches, stats.comparisons),
+                        (matches, comparisons),
+                        "{at}"
+                    );
+                    assert_eq!(stats.tile_p, tile_p, "{at}");
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&stats.row_fidelity), bits(&row_fidelity), "{at}");
                     total_matches += matches;
                 }
             }

@@ -30,7 +30,7 @@
 //!   oracle's layer loop), the [`exec::FocusService`] worker pool
 //!   behind [`exec::ExecMode::Graph`], the default schedule (each run
 //!   a pipeline graph that owns its inputs, every layer decomposed
-//!   into `Sec`/`Synth`/`Gather`/`Fold`/`Lower` task nodes on a
+//!   into `Sec`/`Gather`/`Fold`/`Lower` task nodes on a
 //!   work-stealing scheduler, cross-layer and cross-workload overlap
 //!   at any depth), and the [`exec::BatchRunner`] (submits a
 //!   graph-mode batch into that pool — or fans serial runs across

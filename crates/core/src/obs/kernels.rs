@@ -39,11 +39,11 @@ use super::hist::Histogram;
 /// [`focus_tensor::backend::KernelLaunch`] plus the row-norm pre-pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelFamily {
-    /// Compact-norm kernels (`row_norm`, `row_norms`).
+    /// Compact-norm kernels (`row_norms`).
     Norms,
-    /// Gather scoring (`score_candidates`, `score_pairs`).
+    /// Gather scoring (`score_pairs`).
     Score,
-    /// INT8 fake-quantise round trips.
+    /// INT8 fake-quantise round trips and their absmax pre-pass.
     FakeQuantize,
     /// FP16 rounding passes.
     F16Round,
@@ -174,43 +174,26 @@ impl Backend for Timed {
         self.inner.take_launches()
     }
 
-    fn row_norm(&self, row: &[f32]) -> f32 {
-        self.time(KernelFamily::Norms, || self.inner.row_norm(row))
+    fn row_norms(&self, m: &Matrix, rows: &[u32], norms: &mut [f32]) {
+        self.time(KernelFamily::Norms, || self.inner.row_norms(m, rows, norms))
     }
 
-    fn score_candidates(
-        &self,
-        row: &[f32],
-        norm: f32,
-        cands: &[&[f32]],
-        cand_norms: &[f32],
-        scores: &mut [f32],
-    ) {
+    fn score_pairs(&self, m: &Matrix, pairs: &[(u32, u32)], norms: &[f32], scores: &mut [f32]) {
         self.time(KernelFamily::Score, || {
-            self.inner
-                .score_candidates(row, norm, cands, cand_norms, scores)
+            self.inner.score_pairs(m, pairs, norms, scores)
         })
     }
 
-    fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
-        self.time(KernelFamily::Norms, || self.inner.row_norms(rows, out))
-    }
-
-    fn score_pairs(
-        &self,
-        a: &[&[f32]],
-        a_norms: &[f32],
-        b: &[&[f32]],
-        b_norms: &[f32],
-        scores: &mut [f32],
-    ) {
-        self.time(KernelFamily::Score, || {
-            self.inner.score_pairs(a, a_norms, b, b_norms, scores)
+    fn row_absmax(&self, m: &Matrix, absmax: &mut [f32]) {
+        self.time(KernelFamily::FakeQuantize, || {
+            self.inner.row_absmax(m, absmax)
         })
     }
 
-    fn fake_quantize(&self, m: &mut Matrix) {
-        self.time(KernelFamily::FakeQuantize, || self.inner.fake_quantize(m))
+    fn fake_quantize(&self, m: &mut Matrix, absmax: &[f32]) {
+        self.time(KernelFamily::FakeQuantize, || {
+            self.inner.fake_quantize(m, absmax)
+        })
     }
 
     fn f16_round(&self, m: &mut Matrix) {
@@ -274,11 +257,11 @@ mod tests {
         let _guard = HIST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let inner = backend::active();
         let wrapper = timed(inner);
-        let row = [1.0f32, -2.0, 3.0, 0.5];
-        assert_eq!(
-            wrapper.row_norm(&row).to_bits(),
-            inner.row_norm(&row).to_bits()
-        );
+        let row = Matrix::from_rows(&[vec![1.0f32, -2.0, 3.0, 0.5]]);
+        let (mut wrapped, mut bare) = ([0.0f32], [0.0f32]);
+        wrapper.row_norms(&row, &[0], &mut wrapped);
+        inner.row_norms(&row, &[0], &mut bare);
+        assert_eq!(wrapped[0].to_bits(), bare[0].to_bits());
 
         let before = kernel_histogram(KernelFamily::NormalFill).count();
         let mut a = [0.0f32; 64];

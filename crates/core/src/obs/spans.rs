@@ -1,7 +1,7 @@
 //! Structured span recording for scheduler node executions.
 //!
 //! Every node a [`crate::exec::graph`] worker executes — `Sec`,
-//! `Synth`, `Gather`, `FoldStats`, `Absorb`, `Lower`, `Finish` —
+//! `Gather`, `FoldStats`, `Absorb`, `Lower`, `Finish` —
 //! records one [`Span`] `{job, kind, layer, stage, worker, priority,
 //! tag, t_start, t_end}` into that worker's [`SpanRing`]: a fixed-
 //! capacity, overwrite-oldest ring of seqlock-published slots. The hot
@@ -112,9 +112,12 @@ impl TraceConfig {
 pub enum SpanKind {
     /// Semantic pruning of one layer.
     Sec,
-    /// Activation synthesis for one (layer, stage).
+    /// Activation synthesis for one (layer, stage). No node emits it
+    /// since synthesis is fused into [`SpanKind::Gather`]; the kind
+    /// stays while the benchmark harness still names it.
     Synth,
-    /// Similarity gather over the synthesised activations.
+    /// The fused (layer, stage) node: activation synthesis streamed
+    /// tile by tile into the similarity gather.
     Gather,
     /// Statistics fold of a layer's gathers.
     FoldStats,
@@ -178,7 +181,7 @@ pub struct SpanLabel {
     pub kind: SpanKind,
     /// Layer index, when the kind is per-layer (`None` for `Finish`).
     pub layer: Option<usize>,
-    /// Gather-stage index, for `Synth`/`Gather` nodes.
+    /// Gather-stage index, for `Gather` nodes.
     pub stage: Option<usize>,
 }
 
@@ -203,7 +206,7 @@ pub struct Span {
     pub kind: SpanKind,
     /// Layer index, when per-layer.
     pub layer: Option<usize>,
-    /// Gather-stage index, for `Synth`/`Gather`.
+    /// Gather-stage index, for `Gather`.
     pub stage: Option<usize>,
     /// The worker slot that executed the node.
     pub worker: usize,

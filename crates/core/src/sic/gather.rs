@@ -1,13 +1,20 @@
 //! Similarity Gather (paper §VI-A, Fig. 6).
 //!
 //! Operates on one GEMM output tile (`m` rows × one `vector_len`-wide
-//! column group): every row is a vector; each vector is compared, via
-//! cosine similarity with precomputed L2 norms, against the vectors at
-//! its block-candidate positions **within the same tile** (tile-local
-//! compression is what keeps the unit streaming — the Fig. 10(a)
-//! boundary effect follows directly). Matches reuse their
-//! representative's compact index through the [`SimilarityMap`]; unique
-//! vectors append to the compact buffer.
+//! column group) as it streams out of the array: every row is a
+//! vector; each vector is compared, via cosine similarity with
+//! precomputed L2 norms, against the vectors at its block-candidate
+//! positions **within the same tile** (tile-local compression is what
+//! keeps the unit streaming — the Fig. 10(a) boundary effect follows
+//! directly). Matches reuse their representative's compact index
+//! through the [`SimilarityMap`]; unique vectors append to the compact
+//! buffer.
+//!
+//! The tile is one contiguous `m × vector_len` buffer, and the
+//! per-m-tile candidate plan ([`GatherScratch`]) is a flat list of
+//! `(row, candidate)` probes into it: the scoring kernels address rows
+//! by index, so a tile's probes are scored without building any
+//! per-probe slice or norm vectors.
 
 use core::ops::Range;
 
@@ -74,17 +81,21 @@ impl GatherResult {
 }
 
 /// Recycled scratch for the matrix-level gather sweep: the flat
-/// position lookup plus a **per-m-tile candidate plan**. The candidate
-/// set of every row depends only on positions — not on the column
-/// group — so the plan is resolved once per m-tile and each of the
-/// tile's column groups replays it as flat index reads, skipping the
-/// per-row neighbourhood enumeration (and its allocation) entirely.
+/// position lookup, a **per-m-tile candidate plan** and the contiguous
+/// tile buffer the sweep streams each column tile through. The
+/// candidate set of every row depends only on positions — not on the
+/// column group — so the plan is resolved once per m-tile and each of
+/// the tile's column groups scores it straight from its flat probe
+/// list, skipping the per-row neighbourhood enumeration (and its
+/// allocation) entirely.
 #[derive(Clone, Debug)]
 pub struct GatherScratch {
     lookup: PositionLookup,
-    /// `offsets[local]..offsets[local+1]` indexes `cands`.
+    /// `offsets[local]..offsets[local+1]` indexes `probes`.
     offsets: Vec<u32>,
-    cands: Vec<u32>,
+    /// Every row's `(row, candidate)` probes, tile-local, in sweep
+    /// order.
+    probes: Vec<(u32, u32)>,
     /// The `(row_start, row_count)` tile the current plan covers;
     /// [`gather_tile`] gathers exactly these rows.
     planned: Option<(usize, usize)>,
@@ -92,6 +103,9 @@ pub struct GatherScratch {
     /// [`TemporalCache::reconcile`](crate::sic::TemporalCache::reconcile)
     /// on temporal sweeps, untouched otherwise).
     pub carry: CarryMask,
+    /// Recycled `tile_m × vector_len` tile buffer of the streamed
+    /// sweep.
+    pub(crate) tile: Matrix,
 }
 
 impl GatherScratch {
@@ -100,9 +114,10 @@ impl GatherScratch {
         GatherScratch {
             lookup: PositionLookup::new(layouter),
             offsets: Vec::new(),
-            cands: Vec::new(),
+            probes: Vec::new(),
             planned: None,
             carry: CarryMask::new(),
+            tile: Matrix::zeros(0, 0),
         }
     }
 
@@ -132,45 +147,48 @@ impl GatherScratch {
             }
         }
         self.offsets.clear();
-        self.cands.clear();
+        self.probes.clear();
         self.offsets.push(0);
         for local in 0..row_count {
             if let Some(p) = positions[row_start + local] {
                 for cand in candidate_positions(p, block) {
                     if let Some(cand_local) = self.lookup.get(cand) {
                         if cand_local < local {
-                            self.cands.push(cand_local as u32);
+                            self.probes.push((local as u32, cand_local as u32));
                         }
                     }
                 }
             }
-            self.offsets.push(self.cands.len() as u32);
+            self.offsets.push(self.probes.len() as u32);
         }
         self.planned = Some((row_start, row_count));
     }
 
-    /// The planned candidate rows of tile-local row `local`.
+    /// The planned `(row, candidate)` probes of tile-local row `local`.
     #[inline]
-    pub(crate) fn row_candidates(&self, local: usize) -> &[u32] {
-        let lo = self.offsets[local] as usize;
-        let hi = self.offsets[local + 1] as usize;
-        &self.cands[lo..hi]
+    fn row_probes(&self, local: usize) -> &[(u32, u32)] {
+        &self.probes[self.offsets[local] as usize..self.offsets[local + 1] as usize]
     }
 }
 
 /// Gathers one tile: the rows the last [`GatherScratch::plan_tile`]
-/// call on `plan` covered, columns `col_range` of `acts`. Each row is
-/// scored against its planned candidates (block scan order, earlier
-/// rows only); `None` rows (text tokens) have none and never match.
+/// call on `plan` covered, held in `acts` (row `local` of `acts` is
+/// tile row `local`), columns `col_range` of it. Each row is scored
+/// against its planned candidates (block scan order, earlier rows
+/// only); `None` rows (text tokens) have none and never match. The
+/// streamed sweep hands over exactly the tile (`col_range` spanning
+/// `acts`); a narrower range is copied out into a contiguous tile
+/// first.
 ///
 /// `carry` is the `(mask, col_tile)` pair a
 /// [`TemporalCache::reconcile`](crate::sic::TemporalCache::reconcile)
 /// pre-pass settled for this m-tile, if any: a row marked carried at
 /// `col_tile` — its bytes proven a bit-exact replay of its anchored
-/// frame — takes no norm, no candidate scoring and no compact slot,
-/// and its planned comparisons are counted as avoided. Every other row
-/// runs the exact per-frame path, except that carried rows drop out of
-/// the candidate pool. The gather itself never touches the cache: all
+/// frame — is never read (the streamed sweep leaves it unsynthesised),
+/// takes no norm, no candidate scoring and no compact slot, and its
+/// planned comparisons are counted as avoided. Every other row runs the
+/// exact per-frame path, except that probes touching a carried row are
+/// filtered out. The gather itself never touches the cache: all
 /// proof-checking happened in the reconcile pass.
 ///
 /// All numeric work — norms, candidate scoring, fidelity — dispatches
@@ -180,18 +198,18 @@ impl GatherScratch {
 /// **one** [`Backend::row_norms`](focus_tensor::backend::Backend::row_norms)
 /// over every live row and **one**
 /// [`Backend::score_pairs`](focus_tensor::backend::Backend::score_pairs)
-/// over every `(row, candidate)` probe (the SIMD backend runs eight
-/// rows/pairs per pass), then the sequential best-match walk just reads
-/// the precomputed scores — comparison counts and tie-breaking are
-/// identical to a one-candidate-at-a-time loop. Matched rows' fidelity
-/// is a second batched launch after the walk, scored against each
-/// representative's *source* row (byte-identical to the compact copy,
-/// so the bits cannot differ).
+/// over the plan's `(row, candidate)` probes (the SIMD backend runs
+/// eight rows/pairs per pass), then the sequential best-match walk just
+/// reads the precomputed scores — comparison counts and tie-breaking
+/// are identical to a one-candidate-at-a-time loop. Matched rows'
+/// fidelity is a second batched launch after the walk, scored against
+/// each representative's *source* row (byte-identical to the compact
+/// copy, so the bits cannot differ).
 ///
 /// # Panics
 ///
-/// Panics if `plan` holds no tile plan, or if the tile's rows or
-/// columns exceed `acts`.
+/// Panics if `plan` holds no tile plan, if `acts` does not hold exactly
+/// the planned rows, or if `col_range` exceeds its columns.
 pub fn gather_tile(
     acts: &Matrix,
     plan: &GatherScratch,
@@ -200,17 +218,19 @@ pub fn gather_tile(
     carry: Option<(&CarryMask, usize)>,
     backend: BackendHandle,
 ) -> GatherResult {
-    let (row_start, row_count) = plan
+    let (_, row_count) = plan
         .planned
         .expect("gather_tile needs a tile planned by GatherScratch::plan_tile");
-    assert!(
-        row_start + row_count <= acts.rows(),
-        "row range out of bounds"
-    );
+    assert_eq!(acts.rows(), row_count, "acts must hold the planned rows");
     assert!(col_range.end <= acts.cols(), "column range out of bounds");
-
-    let width = col_range.len();
-    let row_of = |local: usize| -> &[f32] { &acts.row(row_start + local)[col_range.clone()] };
+    let narrowed;
+    let tile = if col_range == (0..acts.cols()) {
+        acts
+    } else {
+        narrowed = acts.submatrix(0, row_count, col_range.start, col_range.len());
+        &narrowed
+    };
+    let width = tile.cols();
     let carried_at = |local: usize| -> Option<u32> {
         carry.and_then(|(mask, col_tile)| mask.carried(local, col_tile))
     };
@@ -234,53 +254,40 @@ pub fn gather_tile(
     let live: Vec<u32> = (0..row_count as u32)
         .filter(|&l| carried_at(l as usize).is_none())
         .collect();
-    let live_rows: Vec<&[f32]> = live.iter().map(|&l| row_of(l as usize)).collect();
-    let mut live_norms = vec![0.0f32; live.len()];
-    backend.row_norms(&live_rows, &mut live_norms);
-    for (&l, &n) in live.iter().zip(&live_norms) {
-        norms[l as usize] = n;
-    }
+    backend.row_norms(tile, &live, &mut norms);
 
-    // Pre-pass 2: resolve every row's live candidate probes
-    // (`cand_offsets[local]..cand_offsets[local+1]` indexes `cand_idx`)
-    // and score them all in one batched launch. A probe is live iff
-    // neither endpoint is carried; dead probes count as avoided exactly
-    // where the one-row-at-a-time walk counted them.
-    let mut cand_offsets: Vec<u32> = Vec::with_capacity(row_count + 1);
-    let mut cand_idx: Vec<u32> = Vec::new();
-    cand_offsets.push(0);
-    for local in 0..row_count {
-        let planned = plan.row_candidates(local);
-        if carried_at(local).is_some() {
-            avoided += planned.len() as u64;
-        } else {
-            for &cand in planned {
-                if carried_at(cand as usize).is_some() {
-                    avoided += 1;
-                } else {
-                    cand_idx.push(cand);
+    // Pre-pass 2: every row's live probes, scored in one batched
+    // launch. Without a temporal probe that is the plan's probe list
+    // as is; otherwise a probe is live iff neither endpoint is carried,
+    // and dead probes count as avoided exactly where the
+    // one-row-at-a-time walk counted them.
+    let filtered: (Vec<u32>, Vec<(u32, u32)>);
+    let (offsets, probes): (&[u32], &[(u32, u32)]) = if carry.is_none() {
+        (&plan.offsets, &plan.probes)
+    } else {
+        let mut offsets = Vec::with_capacity(row_count + 1);
+        let mut probes = Vec::new();
+        offsets.push(0);
+        for local in 0..row_count {
+            let planned = plan.row_probes(local);
+            if carried_at(local).is_some() {
+                avoided += planned.len() as u64;
+            } else {
+                for &(row, cand) in planned {
+                    if carried_at(cand as usize).is_some() {
+                        avoided += 1;
+                    } else {
+                        probes.push((row, cand));
+                    }
                 }
             }
+            offsets.push(probes.len() as u32);
         }
-        cand_offsets.push(cand_idx.len() as u32);
-    }
-    let mut scores = vec![0.0f32; cand_idx.len()];
-    {
-        let mut pair_a: Vec<&[f32]> = Vec::with_capacity(cand_idx.len());
-        let mut pair_an: Vec<f32> = Vec::with_capacity(cand_idx.len());
-        let mut pair_b: Vec<&[f32]> = Vec::with_capacity(cand_idx.len());
-        let mut pair_bn: Vec<f32> = Vec::with_capacity(cand_idx.len());
-        for local in 0..row_count {
-            let probes = cand_offsets[local] as usize..cand_offsets[local + 1] as usize;
-            for &cand in &cand_idx[probes] {
-                pair_a.push(row_of(local));
-                pair_an.push(norms[local]);
-                pair_b.push(row_of(cand as usize));
-                pair_bn.push(norms[cand as usize]);
-            }
-        }
-        backend.score_pairs(&pair_a, &pair_an, &pair_b, &pair_bn, &mut scores);
-    }
+        filtered = (offsets, probes);
+        (&filtered.0, &filtered.1)
+    };
+    let mut scores = vec![0.0f32; probes.len()];
+    backend.score_pairs(tile, probes, &norms, &mut scores);
 
     // The sequential walk: carried replay, best-match selection over
     // the precomputed scores, compact append.
@@ -290,7 +297,8 @@ pub fn gather_tile(
     // fidelity against the source row spares the matcher a re-norm
     // pass per matched row without moving a single bit.
     let mut rep_source: Vec<u32> = Vec::new();
-    // Matched rows' deferred fidelity probes `(local, compact slot)`.
+    // Matched rows' deferred fidelity probes `(row, representative's
+    // source row)`.
     let mut fid_pairs: Vec<(u32, u32)> = Vec::new();
     for local in 0..row_count {
         if let Some(slot) = carried_at(local) {
@@ -307,9 +315,9 @@ pub fn gather_tile(
         // Best-match selection in visit order: a strictly better score
         // wins, a tie keeps the earlier candidate — exactly the
         // streaming matcher's behaviour.
-        let probes = cand_offsets[local] as usize..cand_offsets[local + 1] as usize;
+        let range = offsets[local] as usize..offsets[local + 1] as usize;
         let mut best: Option<(usize, f32)> = None;
-        for (&cand, &cos) in cand_idx[probes.clone()].iter().zip(&scores[probes]) {
+        for (&(_, cand), &cos) in probes[range.clone()].iter().zip(&scores[range]) {
             comparisons += 1;
             dot_ops += width as u64;
             if cos >= cfg.threshold && best.is_none_or(|(_, b)| cos > b) {
@@ -322,11 +330,11 @@ pub fn gather_tile(
                 let rep = map.representative(cand_local);
                 map.push_match(rep);
                 matches += 1;
-                fid_pairs.push((local as u32, rep));
+                fid_pairs.push((local as u32, rep_source[rep as usize]));
             }
             None => {
                 map.push_unique();
-                compact_rows.extend_from_slice(row_of(local));
+                compact_rows.extend_from_slice(tile.row(local));
                 rep_source.push(local as u32);
             }
         }
@@ -336,18 +344,8 @@ pub fn gather_tile(
     // cosine against the representative actually stored (via its
     // byte-identical source row and that row's norm).
     if !fid_pairs.is_empty() {
-        let pair_a: Vec<&[f32]> = fid_pairs.iter().map(|&(l, _)| row_of(l as usize)).collect();
-        let pair_an: Vec<f32> = fid_pairs.iter().map(|&(l, _)| norms[l as usize]).collect();
-        let pair_b: Vec<&[f32]> = fid_pairs
-            .iter()
-            .map(|&(_, rep)| row_of(rep_source[rep as usize] as usize))
-            .collect();
-        let pair_bn: Vec<f32> = fid_pairs
-            .iter()
-            .map(|&(_, rep)| norms[rep_source[rep as usize] as usize])
-            .collect();
         let mut fid = vec![0.0f32; fid_pairs.len()];
-        backend.score_pairs(&pair_a, &pair_an, &pair_b, &pair_bn, &mut fid);
+        backend.score_pairs(tile, &fid_pairs, &norms, &mut fid);
         for (&(l, _), &f) in fid_pairs.iter().zip(&fid) {
             fidelity[l as usize] = f;
         }
@@ -396,12 +394,12 @@ pub(crate) fn hashmap_plan(
             for cand in candidate_positions(p, block) {
                 if let Some(&cand_local) = pos_to_row.get(&cand) {
                     if cand_local < local {
-                        plan.cands.push(cand_local as u32);
+                        plan.probes.push((local as u32, cand_local as u32));
                     }
                 }
             }
         }
-        plan.offsets.push(plan.cands.len() as u32);
+        plan.offsets.push(plan.probes.len() as u32);
     }
     plan.planned = Some((row_start, row_count));
     plan
@@ -433,7 +431,8 @@ mod tests {
     ) -> GatherResult {
         let mut plan = GatherScratch::new(&ConvLayouter::new(4, 4));
         plan.plan_tile(positions, row_start, row_count, cfg.block);
-        gather_tile(acts, &plan, col_range, cfg, None, kernel_backend())
+        let rows = acts.submatrix(row_start, row_count, 0, acts.cols());
+        gather_tile(&rows, &plan, col_range, cfg, None, kernel_backend())
     }
 
     /// Tokens laid out on a 1-frame 2×2 grid; rows 0..4 in scan order.
@@ -632,14 +631,15 @@ mod tests {
                     let oracle =
                         hashmap_plan(&positions, row_start, row_count, BlockSize::DEFAULT);
                     scratch.plan_tile(&positions, row_start, row_count, BlockSize::DEFAULT);
+                    let tile = acts.submatrix(row_start, row_count, 0, width);
                     for col_range in &col_ranges {
                         for threshold in [0.5f32, 0.9, 0.99] {
                             let cfg = GatherConfig { threshold, block: BlockSize::DEFAULT };
                             for be in [backend::scalar_ref(), backend::simd()] {
                                 let planned =
-                                    gather_tile(&acts, &scratch, col_range.clone(), &cfg, None, be);
+                                    gather_tile(&tile, &scratch, col_range.clone(), &cfg, None, be);
                                 let reference =
-                                    gather_tile(&acts, &oracle, col_range.clone(), &cfg, None, be);
+                                    gather_tile(&tile, &oracle, col_range.clone(), &cfg, None, be);
                                 prop_assert_eq!(planned, reference);
                             }
                         }

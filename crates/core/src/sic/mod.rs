@@ -5,12 +5,13 @@
 //! spatiotemporal blocks, the [`layout`] module recovers positions and
 //! guarantees conflict-free bank access, and the [`scatter`] pass
 //! reconstructs full tiles from concentrated partial sums in the next
-//! GEMM. [`SimilarityConcentrator`] applies gathering across a whole
-//! activation matrix and aggregates the statistics the pipeline and the
-//! cycle model consume.
+//! GEMM. [`SimilarityConcentrator`] streams a whole activation matrix
+//! through gathering one output tile at a time — pulled from a
+//! [`TileSource`], never materialised whole — and aggregates the
+//! statistics the pipeline and the cycle model consume.
 //!
-//! The recycled [`GatherScratch`] (flat position lookup + per-m-tile
-//! candidate plan) is the SIC half of
+//! The recycled [`GatherScratch`] (flat position lookup, per-m-tile
+//! candidate plan, tile buffer) is the SIC half of
 //! [`crate::exec::StageWorkspace`]; the task-graph schedule keeps a
 //! ring of them per gather stage so several layers' gathers can be in
 //! flight without sharing mutable state.
@@ -29,6 +30,8 @@ pub use scatter::{scatter, scatter_cycles, scatter_ops};
 pub use temporal::{
     CarryMask, TemporalCache, TemporalCacheConfig, TemporalCounters, TemporalSnapshot,
 };
+
+use core::ops::Range;
 
 use focus_tensor::backend::{BackendHandle, KernelLaunch};
 use focus_tensor::ops::vector_ranges;
@@ -93,6 +96,55 @@ impl MatrixGatherStats {
     }
 }
 
+/// Where [`SimilarityConcentrator::gather_matrix`] pulls its tiles
+/// from: the stand-in for a GEMM's output stream. A source produces
+/// any `rows × cols` block of one `shape()` matrix on demand, so the
+/// sweep only ever holds one tile.
+pub trait TileSource {
+    /// `(rows, width)` of the streamed matrix.
+    fn shape(&self) -> (usize, usize);
+
+    /// Called once per m-tile, before its column tiles are filled;
+    /// `buf` is the sweep's tile buffer, free to use as scratch. Nothing
+    /// to prepare by default.
+    fn begin_rows(&mut self, rows: Range<usize>, buf: &mut Matrix) {
+        let _ = (rows, buf);
+    }
+
+    /// Writes the block `rows × cols` into `out`, resized to
+    /// `rows.len() × cols.len()`. Rows `carry` marks carried at this
+    /// column tile may be left unsynthesised (NaN): the gather never
+    /// reads them.
+    fn fill(
+        &mut self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        carry: Option<(&CarryMask, usize)>,
+        out: &mut Matrix,
+    );
+}
+
+/// A materialised matrix streams as copies of its blocks.
+impl TileSource for &Matrix {
+    fn shape(&self) -> (usize, usize) {
+        (self.rows(), self.cols())
+    }
+
+    fn fill(
+        &mut self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        _carry: Option<(&CarryMask, usize)>,
+        out: &mut Matrix,
+    ) {
+        out.resize(rows.len(), cols.len());
+        for (local, r) in rows.enumerate() {
+            out.row_mut(local)
+                .copy_from_slice(&self.row(r)[cols.clone()]);
+        }
+    }
+}
+
 /// Matrix-level similarity concentration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimilarityConcentrator {
@@ -117,8 +169,10 @@ impl SimilarityConcentrator {
         }
     }
 
-    /// Gathers a whole activation matrix (`rows × width`), tiling rows
-    /// by `tile_m` and columns by `vector_len`.
+    /// Gathers a whole activation matrix (`rows × width`), streamed
+    /// from `source` one `tile_m × vector_len` tile at a time: each
+    /// tile is filled into the scratch's contiguous tile buffer and
+    /// gathered at once, so no `rows × width` matrix is ever held.
     ///
     /// `positions[row]` is each row's decoded (F,H,W) position (`None`
     /// for text tokens). `scratch` is recycled across calls: each
@@ -129,51 +183,49 @@ impl SimilarityConcentrator {
     ///
     /// `temporal` is the optional cross-frame probe `(cache, tokens,
     /// layer, stage)`: each m-tile is settled against the cache's
-    /// `(layer, stage)` plane in one [`TemporalCache::reconcile`] pass —
-    /// the plane is locked once per m-tile, byte-identical rows become
-    /// **carried** entries and moved rows are re-committed — and the
-    /// per-column-tile sweeps then read the resulting carry mask without
-    /// touching the cache (see [`temporal`]). `tokens[row]` keys each
-    /// row to its absolute token index across frames. With a cold or
-    /// never-hitting cache the statistics are identical to a `None`
-    /// probe except for the probe counters.
+    /// `(layer, stage)` plane in one [`TemporalCache::reconcile`] pass
+    /// **before** any of it is synthesised — the plane is locked once
+    /// per m-tile, byte-identical rows become **carried** entries and
+    /// moved rows are re-committed — and the per-column-tile fills and
+    /// sweeps then read the resulting carry mask without touching the
+    /// cache (see [`temporal`]): carried spans are left unsynthesised.
+    /// `tokens[row]` keys each row to its absolute token index across
+    /// frames. With a cold or never-hitting cache the statistics are
+    /// identical to a `None` probe except for the probe counters.
     ///
     /// # Panics
     ///
     /// Panics if a position lies off the scratch's frame grid, or if
-    /// `tokens` is shorter than `acts`.
+    /// `tokens` is shorter than the matrix.
     pub fn gather_matrix(
         &self,
-        acts: &Matrix,
+        mut source: impl TileSource,
         positions: &[Option<Fhw>],
         scratch: &mut GatherScratch,
         temporal: Option<(&TemporalCache, &[usize], usize, usize)>,
         backend: BackendHandle,
     ) -> MatrixGatherStats {
+        let (rows, width) = source.shape();
         if let Some((_, tokens, ..)) = temporal {
-            assert!(tokens.len() >= acts.rows(), "tokens shorter than matrix");
+            assert!(tokens.len() >= rows, "tokens shorter than matrix");
         }
-        let width = acts.cols();
         // One coarse launch record for the whole matrix sweep (the
         // numeric backends drop it; the trace backend logs it).
-        backend.record(KernelLaunch::GatherScore {
-            rows: acts.rows(),
-            width,
-        });
+        backend.record(KernelLaunch::GatherScore { rows, width });
         let v_len = self.vector_len.min(width.max(1));
         let col_ranges = vector_ranges(width, v_len);
-        let m_tiles = acts.rows().div_ceil(self.tile_m).max(1);
+        let m_tiles = rows.div_ceil(self.tile_m).max(1);
 
         let mut stats = MatrixGatherStats {
             col_tiles: col_ranges.len(),
-            row_fidelity: vec![0.0; acts.rows()],
+            row_fidelity: vec![0.0; rows],
             ..MatrixGatherStats::default()
         };
         let mut avoided: u64 = 0;
 
         for mt in 0..m_tiles {
             let row_start = mt * self.tile_m;
-            let row_count = self.tile_m.min(acts.rows().saturating_sub(row_start));
+            let row_count = self.tile_m.min(rows.saturating_sub(row_start));
             if row_count == 0 {
                 stats.tile_heights.push(0);
                 for _ in &col_ranges {
@@ -187,7 +239,7 @@ impl SimilarityConcentrator {
                 cache.reconcile(
                     layer,
                     stage,
-                    acts,
+                    width,
                     row_start,
                     row_count,
                     v_len,
@@ -195,12 +247,20 @@ impl SimilarityConcentrator {
                     &mut scratch.carry,
                 );
             }
+            let tile_rows = row_start..row_start + row_count;
+            source.begin_rows(tile_rows.clone(), &mut scratch.tile);
             for (ct, col_range) in col_ranges.iter().enumerate() {
                 let carry = temporal.map(|_| (&scratch.carry, ct));
-                let r = gather_tile(
-                    acts,
-                    scratch,
+                source.fill(
+                    tile_rows.clone(),
                     col_range.clone(),
+                    carry,
+                    &mut scratch.tile,
+                );
+                let r = gather_tile(
+                    &scratch.tile,
+                    scratch,
+                    0..col_range.len(),
                     &self.gather,
                     carry,
                     backend,

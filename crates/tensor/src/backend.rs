@@ -13,8 +13,9 @@
 //!   [`crate::math`], extended with tile-batched gather scoring and
 //!   norms (eight independent pairs/rows per register pass via
 //!   [`crate::math::dot_pairs_chunked`] and
-//!   [`crate::math::l2_norms_chunked`]) and whole-row fake-quantise
-//!   ([`crate::quant::fake_quantize_in_place_batched`]). **Bit-identical
+//!   [`crate::math::l2_norms_chunked`], both addressing rows of one
+//!   contiguous tile by index) and whole-row fake-quantise
+//!   ([`crate::math::int8_round_fill`]). **Bit-identical
 //!   to [`ScalarRef`]** lane for lane under the frozen-op-order
 //!   discipline (proptest-enforced in `tests/backend_kernels.rs`), so
 //!   swapping backends never changes a result, only throughput;
@@ -33,7 +34,6 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::math;
 use crate::matrix::Matrix;
-use crate::quant;
 
 /// Environment variable selecting the process-wide default backend
 /// (`scalar`, `simd` or `trace`). Unset means `simd` — which is safe
@@ -58,14 +58,14 @@ pub enum KernelLaunch {
         /// Vector length per column tile.
         width: usize,
     },
-    /// One whole-matrix INT8 fake-quantise round trip.
+    /// One INT8 fake-quantise round trip over a tile.
     FakeQuantize {
         /// Matrix rows.
         rows: usize,
         /// Matrix columns.
         cols: usize,
     },
-    /// One whole-matrix FP16 rounding pass.
+    /// One FP16 rounding pass over a tile.
     F16Round {
         /// Matrix rows.
         rows: usize,
@@ -79,11 +79,11 @@ pub enum KernelLaunch {
         /// Matrix columns.
         cols: usize,
     },
-    /// One activation-synthesis fill.
+    /// One activation-synthesis fill of a column range.
     SynthFill {
         /// Token rows synthesised.
         rows: usize,
-        /// Hidden width.
+        /// Columns synthesised per row.
         width: usize,
     },
 }
@@ -108,60 +108,49 @@ pub trait Backend: fmt::Debug + Sync {
         Vec::new()
     }
 
-    /// L2 norm of one activation row (the gather compact-norm kernel).
-    fn row_norm(&self, row: &[f32]) -> f32;
-
-    /// Scores `row` against each candidate:
-    /// `scores[i] = cosine(row, cands[i])` using the precomputed norms
-    /// and the zero-norm conventions of
-    /// [`math::cosine_with_norms_chunked`].
+    /// Batched L2 norms of the listed rows of one contiguous tile:
+    /// `norms[r] = ‖m.row(r)‖` for every `r` in `rows`, other slots
+    /// untouched — the tile-level compact-norm pre-pass, where the SIMD
+    /// backend keeps eight rows' accumulator chains in flight per pass.
     ///
     /// # Panics
     ///
-    /// Panics if `cands`, `cand_norms` and `scores` differ in length,
-    /// or any candidate differs in length from `row`.
-    fn score_candidates(
-        &self,
-        row: &[f32],
-        norm: f32,
-        cands: &[&[f32]],
-        cand_norms: &[f32],
-        scores: &mut [f32],
-    );
+    /// Panics if `norms` is not one slot per row of `m` or an index is
+    /// out of range.
+    fn row_norms(&self, m: &Matrix, rows: &[u32], norms: &mut [f32]);
 
-    /// Batched L2 norms of equally-wide rows:
-    /// `out[i] = row_norm(rows[i])` in one launch — the tile-level
-    /// compact-norm pre-pass, where the SIMD backend keeps eight rows'
-    /// accumulator chains in flight per pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` and `out` differ in length or row widths are
-    /// mixed.
-    fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]);
-
-    /// Batched cosine scores of independent equally-wide pairs:
-    /// `scores[i] = cosine(a[i], b[i])` with caller-supplied norms and
-    /// the zero-norm conventions of
+    /// Batched cosine scores of row pairs of one contiguous tile:
+    /// `scores[i] = cosine(m.row(a), m.row(b))` for `(a, b) = pairs[i]`,
+    /// with the per-row `norms` and the zero-norm conventions of
     /// [`math::cosine_with_norms_chunked`] — the tile-level gather
     /// scoring launch, covering every `(row, candidate)` probe of a
     /// tile at once.
     ///
     /// # Panics
     ///
-    /// Panics if the five slices disagree on pair count or any slice
-    /// differs in width from the first.
-    fn score_pairs(
-        &self,
-        a: &[&[f32]],
-        a_norms: &[f32],
-        b: &[&[f32]],
-        b_norms: &[f32],
-        scores: &mut [f32],
-    );
+    /// Panics if `norms` is not one slot per row of `m`, `pairs` and
+    /// `scores` differ in length, or an index is out of range.
+    fn score_pairs(&self, m: &Matrix, pairs: &[(u32, u32)], norms: &[f32], scores: &mut [f32]);
 
-    /// In-place per-row INT8 fake-quantise round trip.
-    fn fake_quantize(&self, m: &mut Matrix);
+    /// Folds each row's absolute maximum into `absmax`:
+    /// `absmax[r] = max(absmax[r], max_c |m[r][c]|)`, NaN ignored — the
+    /// INT8 scale pre-pass. Max is order-independent, so folding a row
+    /// tile by tile gives the whole row's absmax bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `absmax` is not one slot per row of `m`.
+    fn row_absmax(&self, m: &Matrix, absmax: &mut [f32]);
+
+    /// In-place per-row INT8 fake-quantise round trip, row `r` at the
+    /// scale of its absmax `absmax[r]` (`absmax / 127`, or 1 for an
+    /// all-zero row) — with the whole row's absmax, bit-identical to
+    /// [`crate::quant::fake_quantize_in_place`] on the whole row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `absmax` is not one slot per row of `m`.
+    fn fake_quantize(&self, m: &mut Matrix, absmax: &[f32]);
 
     /// In-place FP16 rounding of every element.
     fn f16_round(&self, m: &mut Matrix);
@@ -188,29 +177,40 @@ fn scatter_rows_copy(partial: &Matrix, reps: &[u32], out: &mut Matrix) {
     }
 }
 
-fn assert_score_shapes(row: &[f32], cands: &[&[f32]], cand_norms: &[f32], scores: &[f32]) {
-    assert_eq!(cands.len(), cand_norms.len(), "one norm per candidate");
-    assert_eq!(cands.len(), scores.len(), "one score slot per candidate");
-    for cand in cands {
-        assert_eq!(row.len(), cand.len(), "candidate width mismatch");
+fn assert_norm_slots(m: &Matrix, norms: &[f32]) {
+    assert_eq!(norms.len(), m.rows(), "one norm slot per row");
+}
+
+fn assert_pair_shapes(m: &Matrix, pairs: &[(u32, u32)], norms: &[f32], scores: &[f32]) {
+    assert_norm_slots(m, norms);
+    assert_eq!(pairs.len(), scores.len(), "one score slot per pair");
+}
+
+/// The zero-norm conventions of [`math::cosine_with_norms_chunked`]
+/// applied to precomputed pair dots: two zero norms are perfectly
+/// similar, one zero norm is orthogonal, the rest is clamped into
+/// `[-1, 1]`. For a zero norm the dot is ignored, so computing it
+/// eagerly cannot change any score.
+fn finish_cosines(pairs: &[(u32, u32)], norms: &[f32], scores: &mut [f32]) {
+    for (score, &(a, b)) in scores.iter_mut().zip(pairs) {
+        let (na, nb) = (norms[a as usize], norms[b as usize]);
+        *score = if na == 0.0 && nb == 0.0 {
+            1.0
+        } else if na == 0.0 || nb == 0.0 {
+            0.0
+        } else {
+            (*score / (na * nb)).clamp(-1.0, 1.0)
+        };
     }
 }
 
-fn assert_pair_shapes(
-    a: &[&[f32]],
-    a_norms: &[f32],
-    b: &[&[f32]],
-    b_norms: &[f32],
-    scores: &[f32],
-) {
-    assert_eq!(a.len(), b.len(), "one left row per right row");
-    assert_eq!(a.len(), a_norms.len(), "one norm per left row");
-    assert_eq!(b.len(), b_norms.len(), "one norm per right row");
-    assert_eq!(a.len(), scores.len(), "one score slot per pair");
-    let n = a.first().map_or(0, |s| s.len());
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.len(), n, "pair width mismatch");
-        assert_eq!(y.len(), n, "pair width mismatch");
+/// One INT8 scale per row from its absmax, as
+/// [`crate::quant::QuantParams::from_absmax`] derives it.
+fn int8_scale(absmax: f32) -> f32 {
+    if absmax == 0.0 {
+        1.0
+    } else {
+        absmax / 127.0
     }
 }
 
@@ -225,46 +225,31 @@ impl Backend for ScalarRef {
         "scalar"
     }
 
-    fn row_norm(&self, row: &[f32]) -> f32 {
-        // focus-lint: allow(D1-libm) — IEEE 754 sqrt is correctly rounded; the oracle keeps
-        // the exact frozen op order of math::l2_norms_chunked (chunked dot, then sqrt).
-        math::dot_chunked_scalar(row, row).sqrt()
+    fn row_norms(&self, m: &Matrix, rows: &[u32], norms: &mut [f32]) {
+        assert_norm_slots(m, norms);
+        math::l2_norms_chunked_scalar(m.as_slice(), m.cols(), rows, norms);
     }
 
-    fn score_candidates(
-        &self,
-        row: &[f32],
-        norm: f32,
-        cands: &[&[f32]],
-        cand_norms: &[f32],
-        scores: &mut [f32],
-    ) {
-        assert_score_shapes(row, cands, cand_norms, scores);
-        for ((cand, &cnorm), score) in cands.iter().zip(cand_norms).zip(scores.iter_mut()) {
-            *score = math::cosine_with_norms_chunked_scalar(row, norm, cand, cnorm);
+    fn score_pairs(&self, m: &Matrix, pairs: &[(u32, u32)], norms: &[f32], scores: &mut [f32]) {
+        assert_pair_shapes(m, pairs, norms, scores);
+        for (score, &(a, b)) in scores.iter_mut().zip(pairs) {
+            let (a, b) = (a as usize, b as usize);
+            *score = math::cosine_with_norms_chunked_scalar(m.row(a), norms[a], m.row(b), norms[b]);
         }
     }
 
-    fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
-        math::l2_norms_chunked_scalar(rows, out);
-    }
-
-    fn score_pairs(
-        &self,
-        a: &[&[f32]],
-        a_norms: &[f32],
-        b: &[&[f32]],
-        b_norms: &[f32],
-        scores: &mut [f32],
-    ) {
-        assert_pair_shapes(a, a_norms, b, b_norms, scores);
-        for i in 0..a.len() {
-            scores[i] = math::cosine_with_norms_chunked_scalar(a[i], a_norms[i], b[i], b_norms[i]);
+    fn row_absmax(&self, m: &Matrix, absmax: &mut [f32]) {
+        assert_norm_slots(m, absmax);
+        for (r, acc) in absmax.iter_mut().enumerate() {
+            *acc = acc.max(math::quant_absmax_scalar(m.row(r)));
         }
     }
 
-    fn fake_quantize(&self, m: &mut Matrix) {
-        quant::fake_quantize_in_place(m);
+    fn fake_quantize(&self, m: &mut Matrix, absmax: &[f32]) {
+        assert_norm_slots(m, absmax);
+        for (r, &amax) in absmax.iter().enumerate() {
+            math::int8_round_fill_scalar(m.row_mut(r), int8_scale(amax));
+        }
     }
 
     fn f16_round(&self, m: &mut Matrix) {
@@ -292,65 +277,31 @@ impl Backend for Simd {
         "simd"
     }
 
-    fn row_norm(&self, row: &[f32]) -> f32 {
-        math::l2_norm_chunked(row)
+    fn row_norms(&self, m: &Matrix, rows: &[u32], norms: &mut [f32]) {
+        assert_norm_slots(m, norms);
+        math::l2_norms_chunked(m.as_slice(), m.cols(), rows, norms);
     }
 
-    fn score_candidates(
-        &self,
-        row: &[f32],
-        norm: f32,
-        cands: &[&[f32]],
-        cand_norms: &[f32],
-        scores: &mut [f32],
-    ) {
-        assert_score_shapes(row, cands, cand_norms, scores);
-        // Batched dots first (eight candidates per pass), then the
-        // zero-norm conventions — for a zero norm the dot is ignored,
-        // so computing it eagerly cannot change any score.
-        math::dot_multi_chunked(row, cands, scores);
-        for (score, &cnorm) in scores.iter_mut().zip(cand_norms) {
-            *score = if norm == 0.0 && cnorm == 0.0 {
-                1.0
-            } else if norm == 0.0 || cnorm == 0.0 {
-                0.0
-            } else {
-                (*score / (norm * cnorm)).clamp(-1.0, 1.0)
-            };
-        }
-    }
-
-    fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
-        math::l2_norms_chunked(rows, out);
-    }
-
-    fn score_pairs(
-        &self,
-        a: &[&[f32]],
-        a_norms: &[f32],
-        b: &[&[f32]],
-        b_norms: &[f32],
-        scores: &mut [f32],
-    ) {
-        assert_pair_shapes(a, a_norms, b, b_norms, scores);
+    fn score_pairs(&self, m: &Matrix, pairs: &[(u32, u32)], norms: &[f32], scores: &mut [f32]) {
+        assert_pair_shapes(m, pairs, norms, scores);
         // Batched dots first (eight independent pairs per pass), then
-        // the zero-norm conventions — for a zero norm the dot is
-        // ignored, so computing it eagerly cannot change any score.
-        math::dot_pairs_chunked(a, b, scores);
-        for (i, score) in scores.iter_mut().enumerate() {
-            let (na, nb) = (a_norms[i], b_norms[i]);
-            *score = if na == 0.0 && nb == 0.0 {
-                1.0
-            } else if na == 0.0 || nb == 0.0 {
-                0.0
-            } else {
-                (*score / (na * nb)).clamp(-1.0, 1.0)
-            };
+        // the zero-norm conventions.
+        math::dot_pairs_chunked(m.as_slice(), m.cols(), pairs, scores);
+        finish_cosines(pairs, norms, scores);
+    }
+
+    fn row_absmax(&self, m: &Matrix, absmax: &mut [f32]) {
+        assert_norm_slots(m, absmax);
+        for (r, acc) in absmax.iter_mut().enumerate() {
+            *acc = acc.max(math::quant_absmax(m.row(r)));
         }
     }
 
-    fn fake_quantize(&self, m: &mut Matrix) {
-        quant::fake_quantize_in_place_batched(m);
+    fn fake_quantize(&self, m: &mut Matrix, absmax: &[f32]) {
+        assert_norm_slots(m, absmax);
+        for (r, &amax) in absmax.iter().enumerate() {
+            math::int8_round_fill(m.row_mut(r), int8_scale(amax));
+        }
     }
 
     fn f16_round(&self, m: &mut Matrix) {
@@ -405,40 +356,24 @@ impl Backend for Trace {
         std::mem::take(&mut *self.launches.lock().unwrap())
     }
 
-    fn row_norm(&self, _row: &[f32]) -> f32 {
-        0.0
+    fn row_norms(&self, m: &Matrix, rows: &[u32], norms: &mut [f32]) {
+        assert_norm_slots(m, norms);
+        for &r in rows {
+            norms[r as usize] = 0.0;
+        }
     }
 
-    fn score_candidates(
-        &self,
-        row: &[f32],
-        _norm: f32,
-        cands: &[&[f32]],
-        cand_norms: &[f32],
-        scores: &mut [f32],
-    ) {
-        assert_score_shapes(row, cands, cand_norms, scores);
+    fn score_pairs(&self, m: &Matrix, pairs: &[(u32, u32)], norms: &[f32], scores: &mut [f32]) {
+        assert_pair_shapes(m, pairs, norms, scores);
         scores.fill(0.0);
     }
 
-    fn row_norms(&self, rows: &[&[f32]], out: &mut [f32]) {
-        assert_eq!(rows.len(), out.len(), "one norm slot per row");
-        out.fill(0.0);
+    fn row_absmax(&self, m: &Matrix, absmax: &mut [f32]) {
+        assert_norm_slots(m, absmax);
     }
 
-    fn score_pairs(
-        &self,
-        a: &[&[f32]],
-        a_norms: &[f32],
-        b: &[&[f32]],
-        b_norms: &[f32],
-        scores: &mut [f32],
-    ) {
-        assert_pair_shapes(a, a_norms, b, b_norms, scores);
-        scores.fill(0.0);
-    }
-
-    fn fake_quantize(&self, m: &mut Matrix) {
+    fn fake_quantize(&self, m: &mut Matrix, absmax: &[f32]) {
+        assert_norm_slots(m, absmax);
         self.record(KernelLaunch::FakeQuantize {
             rows: m.rows(),
             cols: m.cols(),
@@ -577,7 +512,7 @@ mod tests {
     fn trace_records_and_drains_in_order() {
         let t = Trace::new();
         let mut m = Matrix::zeros(3, 5);
-        t.fake_quantize(&mut m);
+        t.fake_quantize(&mut m, &[0.0; 3]);
         t.f16_round(&mut m);
         t.record(KernelLaunch::GatherScore { rows: 3, width: 5 });
         assert_eq!(
@@ -596,10 +531,16 @@ mod tests {
         let t = Trace::new();
         let mut m = Matrix::from_fn(2, 4, |r, c| (r + c) as f32 + 0.3);
         let before = m.clone();
-        t.fake_quantize(&mut m);
+        t.fake_quantize(&mut m, &[5.0; 2]);
         t.f16_round(&mut m);
         assert_eq!(m, before, "trace must leave values untouched");
-        assert_eq!(t.row_norm(&[3.0, 4.0]), 0.0);
+        let mut norms = [7.0f32; 2];
+        t.row_norms(
+            &Matrix::from_rows(&[vec![3.0, 4.0], vec![1.0, 0.0]]),
+            &[0],
+            &mut norms,
+        );
+        assert_eq!(norms, [0.0, 7.0], "only the listed rows are written");
         let mut noise = [7.0f32; 4];
         t.normal_fill(9, &mut noise);
         assert_eq!(noise, [0.0; 4]);
@@ -607,15 +548,22 @@ mod tests {
 
     #[test]
     fn scalar_and_simd_agree_on_a_smoke_vector() {
-        let row: Vec<f32> = (0..37).map(|i| (i as f32 * 0.37).sin()).collect();
-        let cand: Vec<f32> = (0..37).map(|i| (i as f32 * 0.21).cos()).collect();
+        let m = Matrix::from_fn(2, 37, |r, i| {
+            if r == 0 {
+                (i as f32 * 0.37).sin()
+            } else {
+                (i as f32 * 0.21).cos()
+            }
+        });
         let (s, f) = (scalar_ref(), simd());
-        let (na, nb) = (s.row_norm(&row), s.row_norm(&cand));
-        assert_eq!(na.to_bits(), f.row_norm(&row).to_bits());
+        let (mut ns, mut nf) = ([0.0f32; 2], [0.0f32; 2]);
+        s.row_norms(&m, &[0, 1], &mut ns);
+        f.row_norms(&m, &[0, 1], &mut nf);
+        assert_eq!(ns.map(f32::to_bits), nf.map(f32::to_bits));
         let mut a = [0.0f32];
         let mut b = [0.0f32];
-        s.score_candidates(&row, na, &[&cand], &[nb], &mut a);
-        f.score_candidates(&row, na, &[&cand], &[nb], &mut b);
+        s.score_pairs(&m, &[(0, 1)], &ns, &mut a);
+        f.score_pairs(&m, &[(0, 1)], &ns, &mut b);
         assert_eq!(a[0].to_bits(), b[0].to_bits());
     }
 }

@@ -436,9 +436,8 @@ fn reduce_lanes(l: [f32; 8]) -> f32 {
 /// dispatch and ymm spill/`vzeroupper` overhead dominates a handful of
 /// 8-wide passes (measured crossover ≈ 256 lanes on an AVX2 host).
 /// Both paths are bit-identical, so the cutoff is pure scheduling;
-/// batched kernels ([`dot_multi_chunked`], [`dot_pairs_chunked`],
-/// [`l2_norms_chunked`]) amortise that overhead over eight rows and
-/// win at every width.
+/// the batched kernels ([`dot_pairs_chunked`], [`l2_norms_chunked`])
+/// amortise that overhead over eight rows and win at every width.
 const DOT_SIMD_MIN_LEN: usize = 256;
 
 /// Lane-chunked dot product, runtime-dispatched like
@@ -542,100 +541,43 @@ pub fn cosine_with_norms_chunked_scalar(a: &[f32], na: f32, b: &[f32], nb: f32) 
     (dot_chunked_scalar(a, b) / (na * nb)).clamp(-1.0, 1.0)
 }
 
-/// Multi-candidate dot kernel: `out[i] = dot_chunked(a, bs[i])` for
-/// every candidate row, with candidates processed eight at a time on
-/// the SIMD path so each 8-wide chunk of `a` is loaded once per group
-/// instead of once per candidate (and the eight accumulator chains run
-/// independently). Every candidate's accumulation executes the frozen
-/// [`dot_chunked`] order — lane `j` sums indices `≡ j (mod 8)`, shared
-/// scalar tail, fixed reduction tree — so the batching is bit-invisible
-/// per candidate.
+/// Row `r` of a row-major matrix of `width`-wide rows stored in `data`.
+#[inline]
+fn row_at(data: &[f32], width: usize, r: u32) -> &[f32] {
+    let lo = r as usize * width;
+    &data[lo..lo + width]
+}
+
+/// Index-pair dot kernel over one contiguous row-major matrix (`data`,
+/// rows `width` wide): `out[i] = dot_chunked(row a, row b)` for every
+/// `(a, b) = pairs[i]`, eight pairs per SIMD pass. The pairs name rows
+/// of one matrix instead of carrying slices, so a caller scoring a tile
+/// hands over its candidate plan as is — no per-probe slice or norm
+/// vectors. Every pair executes the frozen [`dot_chunked`] order (lane
+/// `j` sums indices `≡ j (mod 8)`, shared scalar tail, fixed reduction
+/// tree), so the batching is bit-invisible per pair.
 ///
 /// # Panics
 ///
-/// Panics if `bs` and `out` differ in length, or any candidate differs
-/// in length from `a`.
-pub fn dot_multi_chunked(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
-    assert_eq!(bs.len(), out.len(), "one output slot per candidate");
-    for b in bs {
-        assert_eq!(a.len(), b.len(), "dot of mismatched lengths");
-    }
-    let full = a.len() / 8 * 8;
+/// Panics if `pairs` and `out` differ in length or an index names a
+/// row outside `data`.
+pub fn dot_pairs_chunked(data: &[f32], width: usize, pairs: &[(u32, u32)], out: &mut [f32]) {
+    assert_eq!(pairs.len(), out.len(), "one output slot per pair");
+    let full = width / 8 * 8;
     let mut idx = 0;
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
-        while idx + 8 <= bs.len() {
-            let group: &[&[f32]; 8] = bs[idx..idx + 8].try_into().unwrap();
+        while idx + 8 <= pairs.len() {
+            let group = &pairs[idx..idx + 8];
+            let ga: [&[f32]; 8] = std::array::from_fn(|p| row_at(data, width, group[p].0));
+            let gb: [&[f32]; 8] = std::array::from_fn(|p| row_at(data, width, group[p].1));
             let mut lanes = [[0.0f32; 8]; 8];
             // SAFETY: `simd_active` implies AVX2 was detected at
-            // runtime; lengths were asserted above.
-            unsafe { dot8_lanes_avx2_raw(&a[..full], group, &mut lanes) };
-            for (c, l) in lanes.iter_mut().enumerate() {
-                let b = bs[idx + c];
-                for (j, i) in (full..a.len()).enumerate() {
-                    l[j] += a[i] * b[i];
-                }
-                out[idx + c] = reduce_lanes(*l);
-            }
-            idx += 8;
-        }
-    }
-    for c in idx..bs.len() {
-        out[c] = dot_chunked(a, bs[c]);
-    }
-}
-
-/// The chunked-scalar path of [`dot_multi_chunked`]: one
-/// [`dot_chunked_scalar`] per candidate, for the bit-identity property
-/// tests and the scalar backend.
-pub fn dot_multi_chunked_scalar(a: &[f32], bs: &[&[f32]], out: &mut [f32]) {
-    assert_eq!(bs.len(), out.len(), "one output slot per candidate");
-    for (b, o) in bs.iter().zip(out) {
-        *o = dot_chunked_scalar(a, b);
-    }
-}
-
-fn assert_pair_widths(pa: &[&[f32]], pb: &[&[f32]], out: &[f32]) -> usize {
-    assert_eq!(pa.len(), pb.len(), "one left slice per right slice");
-    assert_eq!(pa.len(), out.len(), "one output slot per pair");
-    let n = pa.first().map_or(0, |s| s.len());
-    for (a, b) in pa.iter().zip(pb) {
-        assert_eq!(a.len(), n, "pair width mismatch");
-        assert_eq!(b.len(), n, "pair width mismatch");
-    }
-    n
-}
-
-/// Independent-pair dot kernel: `out[i] = dot_chunked(pa[i], pb[i])`
-/// for equally-wide pairs, eight pairs per SIMD pass. Unlike
-/// [`dot_multi_chunked`] nothing is shared between the pairs — the
-/// batching amortises the per-call dispatch overhead that makes the
-/// single-dot path a loss below [`DOT_SIMD_MIN_LEN`], and keeps eight
-/// independent accumulator chains in flight. Every pair executes the
-/// frozen [`dot_chunked`] order (lane `j` sums indices `≡ j (mod 8)`,
-/// shared scalar tail, fixed reduction tree), so the batching is
-/// bit-invisible per pair.
-///
-/// # Panics
-///
-/// Panics if `pa`, `pb` and `out` differ in length or any slice
-/// differs in width from the first.
-pub fn dot_pairs_chunked(pa: &[&[f32]], pb: &[&[f32]], out: &mut [f32]) {
-    let n = assert_pair_widths(pa, pb, out);
-    let full = n / 8 * 8;
-    let mut idx = 0;
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        while idx + 8 <= pa.len() {
-            let ga: &[&[f32]; 8] = pa[idx..idx + 8].try_into().unwrap();
-            let gb: &[&[f32]; 8] = pb[idx..idx + 8].try_into().unwrap();
-            let mut lanes = [[0.0f32; 8]; 8];
-            // SAFETY: `simd_active` implies AVX2 was detected at
-            // runtime; widths were asserted above.
-            unsafe { dot8_pairs_avx2_raw(ga, gb, full, &mut lanes) };
+            // runtime; every row is exactly `width >= full` long.
+            unsafe { dot8_pairs_avx2_raw(&ga, &gb, full, &mut lanes) };
             for (p, l) in lanes.iter_mut().enumerate() {
                 let (a, b) = (ga[p], gb[p]);
-                for (j, i) in (full..n).enumerate() {
+                for (j, i) in (full..width).enumerate() {
                     l[j] += a[i] * b[i];
                 }
                 out[idx + p] = reduce_lanes(*l);
@@ -643,63 +585,63 @@ pub fn dot_pairs_chunked(pa: &[&[f32]], pb: &[&[f32]], out: &mut [f32]) {
             idx += 8;
         }
     }
-    for p in idx..pa.len() {
-        out[p] = dot_chunked(pa[p], pb[p]);
+    for (o, &(a, b)) in out[idx..].iter_mut().zip(&pairs[idx..]) {
+        *o = dot_chunked(row_at(data, width, a), row_at(data, width, b));
     }
 }
 
-/// The chunked-scalar path of [`dot_pairs_chunked`], for the
-/// bit-identity property tests and the scalar backend. Same shape
-/// contract as the dispatched kernel.
-pub fn dot_pairs_chunked_scalar(pa: &[&[f32]], pb: &[&[f32]], out: &mut [f32]) {
-    assert_pair_widths(pa, pb, out);
-    for ((a, b), o) in pa.iter().zip(pb).zip(out) {
-        *o = dot_chunked_scalar(a, b);
+/// The chunked-scalar path of [`dot_pairs_chunked`]: one
+/// [`dot_chunked_scalar`] per pair, for the bit-identity property tests
+/// and the scalar backend. Same shape contract as the dispatched kernel.
+pub fn dot_pairs_chunked_scalar(data: &[f32], width: usize, pairs: &[(u32, u32)], out: &mut [f32]) {
+    assert_eq!(pairs.len(), out.len(), "one output slot per pair");
+    for (o, &(a, b)) in out.iter_mut().zip(pairs) {
+        *o = dot_chunked_scalar(row_at(data, width, a), row_at(data, width, b));
     }
 }
 
-/// Batched L2 norms of equally-wide rows, eight rows per SIMD pass:
-/// `out[i] = l2_norm_chunked(rows[i])` bit for bit (self-dot in the
-/// frozen lane order, then `sqrt`), with the whole row group's chunk
-/// loop amortising the dispatch overhead a norm-per-call loop pays.
+/// Batched L2 norms of the listed rows of one contiguous row-major
+/// matrix, eight rows per SIMD pass: `norms[r] = l2_norm_chunked(row r)`
+/// bit for bit (self-dot in the frozen lane order, then `sqrt`) for
+/// every `r` in `rows`; the other slots are left untouched.
 ///
 /// # Panics
 ///
-/// Panics if `rows` and `out` differ in length or any row differs in
-/// width from the first.
-pub fn l2_norms_chunked(rows: &[&[f32]], out: &mut [f32]) {
-    let n = assert_pair_widths(rows, rows, out);
-    let full = n / 8 * 8;
+/// Panics if an index names a row outside `data` or a slot outside
+/// `norms`.
+pub fn l2_norms_chunked(data: &[f32], width: usize, rows: &[u32], norms: &mut [f32]) {
+    let full = width / 8 * 8;
     let mut idx = 0;
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
         while idx + 8 <= rows.len() {
-            let group: &[&[f32]; 8] = rows[idx..idx + 8].try_into().unwrap();
+            let group: [&[f32]; 8] = std::array::from_fn(|k| row_at(data, width, rows[idx + k]));
             let mut lanes = [[0.0f32; 8]; 8];
             // SAFETY: `simd_active` implies AVX2 was detected at
-            // runtime; widths were asserted above.
-            unsafe { norms8_lanes_avx2_raw(group, full, &mut lanes) };
-            for (r, l) in lanes.iter_mut().enumerate() {
-                let row = group[r];
-                for (j, i) in (full..n).enumerate() {
+            // runtime; every row is exactly `width >= full` long.
+            unsafe { norms8_lanes_avx2_raw(&group, full, &mut lanes) };
+            for (k, l) in lanes.iter_mut().enumerate() {
+                let row = group[k];
+                for (j, i) in (full..width).enumerate() {
                     l[j] += row[i] * row[i];
                 }
-                out[idx + r] = reduce_lanes(*l).sqrt();
+                norms[rows[idx + k] as usize] = reduce_lanes(*l).sqrt();
             }
             idx += 8;
         }
     }
-    for r in idx..rows.len() {
-        out[r] = dot_chunked(rows[r], rows[r]).sqrt();
+    for &r in &rows[idx..] {
+        let row = row_at(data, width, r);
+        norms[r as usize] = dot_chunked(row, row).sqrt();
     }
 }
 
 /// The chunked-scalar path of [`l2_norms_chunked`], for the
 /// bit-identity property tests and the scalar backend.
-pub fn l2_norms_chunked_scalar(rows: &[&[f32]], out: &mut [f32]) {
-    assert_pair_widths(rows, rows, out);
-    for (row, o) in rows.iter().zip(out) {
-        *o = dot_chunked_scalar(row, row).sqrt();
+pub fn l2_norms_chunked_scalar(data: &[f32], width: usize, rows: &[u32], norms: &mut [f32]) {
+    for &r in rows {
+        let row = row_at(data, width, r);
+        norms[r as usize] = dot_chunked_scalar(row, row).sqrt();
     }
 }
 
@@ -1030,53 +972,11 @@ mod avx2 {
         }
     }
 
-    /// Eight-candidate dot batch: per candidate `c`, the 8-lane partial
-    /// sums of `a · bs[c]` accumulated in the frozen [`dot_chunked`]
-    /// lane order (`super::dot_chunked`). Each 8-wide chunk of `a` is
-    /// loaded once and shared across the eight independent accumulator
-    /// registers. The caller finishes each candidate with the shared
-    /// scalar tail + reduction tree. `a.len()` must be a multiple of 8
-    /// and every `bs[c]` at least as long as `a`.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot8_lanes_avx2_raw(
-        a: &[f32],
-        bs: &[&[f32]; 8],
-        lanes: &mut [[f32; 8]; 8],
-    ) {
-        debug_assert_eq!(a.len() % 8, 0);
-        for b in bs {
-            debug_assert!(b.len() >= a.len());
-        }
-        let mut acc = [_mm256_setzero_ps(); 8];
-        for (v, l) in acc.iter_mut().zip(lanes.iter()) {
-            // SAFETY: each `l` is a `[f32; 8]` — one full register.
-            *v = unsafe { _mm256_loadu_ps(l.as_ptr()) };
-        }
-        for ci in 0..a.len() / 8 {
-            // SAFETY: `a.len()` is a multiple of 8 (debug-asserted),
-            // so lanes `ci*8..ci*8+8` are in bounds.
-            let va = unsafe { _mm256_loadu_ps(a.as_ptr().add(ci * 8)) };
-            for (v, b) in acc.iter_mut().zip(bs.iter()) {
-                // SAFETY: every `bs[c]` is at least as long as `a`
-                // (debug-asserted), so the same lanes are in bounds.
-                let vb = unsafe { _mm256_loadu_ps(b.as_ptr().add(ci * 8)) };
-                *v = _mm256_add_ps(*v, _mm256_mul_ps(va, vb));
-            }
-        }
-        for (v, l) in acc.iter().zip(lanes.iter_mut()) {
-            // SAFETY: each `l` is a `[f32; 8]` — one full register.
-            unsafe { _mm256_storeu_ps(l.as_mut_ptr(), *v) };
-        }
-    }
-
     /// Eight-pair dot batch: per pair `i`, the 8-lane partial sums of
     /// `pa[i] · pb[i]` accumulated in the frozen `dot_chunked` lane
-    /// order. Unlike [`dot8_lanes_avx2_raw`] nothing is shared between
-    /// the pairs; the batching keeps eight independent accumulator
-    /// registers in flight and amortises the call overhead. The caller
+    /// order. Nothing is shared between the pairs; the batching keeps
+    /// eight independent accumulator registers in flight and amortises
+    /// the call overhead. The caller
     /// finishes each pair with the shared scalar tail + reduction
     /// tree. `len8` must be a multiple of 8 and no slice shorter.
     ///
@@ -1234,9 +1134,9 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 use avx2::{
-    absmax_avx2_raw, box_muller_fill_avx2_raw, cos_fill_avx2_raw, dot8_lanes_avx2_raw,
-    dot8_pairs_avx2_raw, dot_lanes_avx2_raw, f16_round_fill_f16c_raw, int8_round_fill_avx2_raw,
-    ln_fill_avx2_raw, norms8_lanes_avx2_raw,
+    absmax_avx2_raw, box_muller_fill_avx2_raw, cos_fill_avx2_raw, dot8_pairs_avx2_raw,
+    dot_lanes_avx2_raw, f16_round_fill_f16c_raw, int8_round_fill_avx2_raw, ln_fill_avx2_raw,
+    norms8_lanes_avx2_raw,
 };
 
 #[cfg(test)]

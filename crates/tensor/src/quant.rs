@@ -155,8 +155,9 @@ pub fn fake_quantize(m: &Matrix) -> Matrix {
 
 /// In-place [`fake_quantize`]: identical arithmetic (per-row absmax
 /// scale, quantise + dequantise each element) without materialising a
-/// [`QuantizedTensor`]. Reused activation workspaces quantise through
-/// here so the hot path stays allocation-free.
+/// [`QuantizedTensor`] — the whole-row reference the backends'
+/// tile-wise INT8 path (absmax folded across column tiles) is tested
+/// against.
 pub fn fake_quantize_in_place(m: &mut Matrix) {
     for r in 0..m.rows() {
         let row = m.row_mut(r);
@@ -164,22 +165,6 @@ pub fn fake_quantize_in_place(m: &mut Matrix) {
         for v in row.iter_mut() {
             *v = params.dequantize(params.quantize(*v));
         }
-    }
-}
-
-/// Batched, runtime-dispatched [`fake_quantize_in_place`]: the per-row
-/// absmax scale comes from [`crate::math::quant_absmax`] and the
-/// quantise + dequantise round trip runs over the whole row through
-/// [`crate::math::int8_round_fill`]. Bit-identical to the sequential
-/// reference on every input — absmax is an order-independent reduction
-/// and the round trip is a pure per-element map (see the kernel docs
-/// for the round-half-away-from-zero and NaN/`−0.0` parity argument).
-pub fn fake_quantize_in_place_batched(m: &mut Matrix) {
-    for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        let absmax = crate::math::quant_absmax(row);
-        let scale = if absmax == 0.0 { 1.0 } else { absmax / 127.0 };
-        crate::math::int8_round_fill(row, scale);
     }
 }
 
@@ -263,8 +248,13 @@ mod tests {
             });
             let mut reference = m.clone();
             fake_quantize_in_place(&mut reference);
+            // The batched path: the SIMD backend's absmax fold and
+            // whole-row round trip.
+            let simd = crate::backend::simd();
+            let mut absmax = vec![0.0; m.rows()];
+            simd.row_absmax(&m, &mut absmax);
             let mut batched = m.clone();
-            fake_quantize_in_place_batched(&mut batched);
+            simd.fake_quantize(&mut batched, &absmax);
             for (a, b) in reference.as_slice().iter().zip(batched.as_slice()) {
                 assert_eq!(
                     a.to_bits(),

@@ -16,11 +16,11 @@
 
 use focus_tensor::math::{
     box_muller_fill, box_muller_fill_scalar, cos_phase24_fill, cos_phase24_fill_scalar,
-    cosine_with_norms_chunked, dot_chunked, dot_chunked_scalar, dot_multi_chunked,
-    dot_multi_chunked_scalar, dot_pairs_chunked, dot_pairs_chunked_scalar, f16_round_fill,
-    f16_round_fill_scalar, fixed_ln, force_scalar, int8_round_fill, int8_round_fill_scalar,
-    l2_norm_chunked, l2_norms_chunked, l2_norms_chunked_scalar, ln_fill, ln_fill_scalar,
-    normal_from_raw, quant_absmax, quant_absmax_scalar, splitmix_mix, GAMMA,
+    cosine_with_norms_chunked, dot_chunked, dot_chunked_scalar, dot_pairs_chunked,
+    dot_pairs_chunked_scalar, f16_round_fill, f16_round_fill_scalar, fixed_ln, force_scalar,
+    int8_round_fill, int8_round_fill_scalar, l2_norm_chunked, l2_norms_chunked,
+    l2_norms_chunked_scalar, ln_fill, ln_fill_scalar, normal_from_raw, quant_absmax,
+    quant_absmax_scalar, splitmix_mix, GAMMA,
 };
 use proptest::prelude::*;
 
@@ -169,88 +169,57 @@ proptest! {
         }
     }
 
-    /// Scalar ≡ dispatched for the candidate-batched multi-dot the
-    /// gather matcher scores with: every candidate's dot must equal the
-    /// single-candidate chunked-scalar kernel bit for bit, across every
-    /// width tail, candidate count (sweeping the 8-candidate group
-    /// boundary) and a wide magnitude spread.
-    #[test]
-    fn dot_multi_paths_are_bit_identical(
-        row in proptest::collection::vec(-8.0f32..8.0, 0..70),
-        n_cands in 0usize..20,
-        seed in 0u32..1000,
-        exp in -20i32..20,
-    ) {
-        let scale = (exp as f32).exp2();
-        let width = row.len();
-        let cands: Vec<Vec<f32>> = (0..n_cands)
-            .map(|c| {
-                (0..width)
-                    .map(|i| {
-                        let h = (c * 131 + i * 31 + seed as usize) % 97;
-                        (h as f32 / 48.5 - 1.0) * scale
-                    })
-                    .collect()
-            })
-            .collect();
-        let views: Vec<&[f32]> = cands.iter().map(|c| c.as_slice()).collect();
-
-        let mut scalar = vec![0.0f32; n_cands];
-        dot_multi_chunked_scalar(&row, &views, &mut scalar);
-        for (c, got) in scalar.iter().enumerate() {
-            prop_assert_eq!(got.to_bits(), dot_chunked_scalar(&row, views[c]).to_bits());
-        }
-
-        let mut dispatched = vec![0.0f32; n_cands];
-        dot_multi_chunked(&row, &views, &mut dispatched);
-        assert_bits_eq(&dispatched, &scalar, "multi-dot dispatched vs scalar");
-    }
-
-    /// Scalar ≡ dispatched for the independent-pair dot batch and the
-    /// batched row norms, across pair counts sweeping the 8-group
-    /// boundary and widths sweeping every SIMD tail length. Each pair
-    /// must also match its own single [`dot_chunked_scalar`] — the
-    /// batching is bit-invisible per pair.
+    /// Scalar ≡ dispatched for the index-pair dot batch and the
+    /// batched row norms over one contiguous matrix, across pair counts
+    /// sweeping the 8-group boundary and widths sweeping every SIMD tail
+    /// length. Each pair must also match its own single
+    /// [`dot_chunked_scalar`] — the batching is bit-invisible per pair —
+    /// and rows left out of a norm launch keep their slots.
     #[test]
     fn pair_kernel_paths_are_bit_identical(
         width in 0usize..70,
+        rows in 1usize..12,
         n_pairs in 0usize..20,
         seed in 0u32..1000,
         exp in -20i32..20,
     ) {
         let scale = (exp as f32).exp2();
-        let fill = |p: usize, side: usize| -> Vec<f32> {
-            (0..width)
-                .map(|i| {
-                    let h = (p * 131 + side * 53 + i * 31 + seed as usize) % 97;
-                    (h as f32 / 48.5 - 1.0) * scale
-                })
-                .collect()
-        };
-        let left: Vec<Vec<f32>> = (0..n_pairs).map(|p| fill(p, 0)).collect();
-        let right: Vec<Vec<f32>> = (0..n_pairs).map(|p| fill(p, 1)).collect();
-        let pa: Vec<&[f32]> = left.iter().map(|r| r.as_slice()).collect();
-        let pb: Vec<&[f32]> = right.iter().map(|r| r.as_slice()).collect();
+        let data: Vec<f32> = (0..rows * width)
+            .map(|i| {
+                let h = (i * 31 + seed as usize) % 97;
+                (h as f32 / 48.5 - 1.0) * scale
+            })
+            .collect();
+        let row = |r: u32| &data[r as usize * width..(r as usize + 1) * width];
+        let pairs: Vec<(u32, u32)> = (0..n_pairs)
+            .map(|p| (((p * 7 + seed as usize) % rows) as u32, ((p * 3) % rows) as u32))
+            .collect();
 
         let mut scalar = vec![0.0f32; n_pairs];
-        dot_pairs_chunked_scalar(&pa, &pb, &mut scalar);
+        dot_pairs_chunked_scalar(&data, width, &pairs, &mut scalar);
         for (p, got) in scalar.iter().enumerate() {
-            prop_assert_eq!(got.to_bits(), dot_chunked_scalar(pa[p], pb[p]).to_bits());
+            let (a, b) = pairs[p];
+            prop_assert_eq!(got.to_bits(), dot_chunked_scalar(row(a), row(b)).to_bits());
         }
         let mut dispatched = vec![0.0f32; n_pairs];
-        dot_pairs_chunked(&pa, &pb, &mut dispatched);
+        dot_pairs_chunked(&data, width, &pairs, &mut dispatched);
         assert_bits_eq(&dispatched, &scalar, "pair-dot dispatched vs scalar");
 
-        let mut scalar_norms = vec![0.0f32; n_pairs];
-        l2_norms_chunked_scalar(&pa, &mut scalar_norms);
-        for (p, got) in scalar_norms.iter().enumerate() {
-            prop_assert_eq!(
-                got.to_bits(),
-                dot_chunked_scalar(pa[p], pa[p]).sqrt().to_bits()
-            );
+        // Every row but the last, listed out of order and more than
+        // eight times over when there are enough rows to group.
+        let listed: Vec<u32> = (0..rows as u32 - 1).rev().cycle().take(3 * rows).collect();
+        let mut scalar_norms = vec![-1.0f32; rows];
+        l2_norms_chunked_scalar(&data, width, &listed, &mut scalar_norms);
+        for (r, got) in scalar_norms.iter().enumerate() {
+            let expect = if r + 1 == rows {
+                -1.0
+            } else {
+                dot_chunked_scalar(row(r as u32), row(r as u32)).sqrt()
+            };
+            prop_assert_eq!(got.to_bits(), expect.to_bits());
         }
-        let mut dispatched_norms = vec![0.0f32; n_pairs];
-        l2_norms_chunked(&pa, &mut dispatched_norms);
+        let mut dispatched_norms = vec![-1.0f32; rows];
+        l2_norms_chunked(&data, width, &listed, &mut dispatched_norms);
         assert_bits_eq(
             &dispatched_norms,
             &scalar_norms,

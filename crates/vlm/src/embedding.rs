@@ -20,6 +20,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use focus_tensor::backend::{self, BackendHandle, KernelLaunch};
@@ -295,9 +296,45 @@ impl StabilityModel {
     }
 }
 
-/// Synthesises per-layer, per-stage activation matrices for a scene.
+/// The deterministic base of one row: a memoised appearance copied, or
+/// two blended (`wa·a + wb·b`). Offsets index the synthesiser's
+/// appearance slab.
+#[derive(Clone, Copy, Debug)]
+enum RowBase {
+    Copy(usize),
+    Mix {
+        a: usize,
+        wa: f32,
+        b: usize,
+        wb: f32,
+    },
+}
+
+/// One row's synthesis recipe under the current context: every memo
+/// lookup of the row resolved once, to slab offsets and weights, so a
+/// column-range fill is pure elementwise work.
+#[derive(Clone, Copy, Debug)]
+struct RowRecipe {
+    base: RowBase,
+    /// Sub-patch motion: `(secondary appearance, damped φ)`.
+    blend: Option<(usize, f32)>,
+    /// Offset of the row's group-stability flags in the flag slab.
+    flags: usize,
+    /// The per-group noise hash `hash_words(salt, [token, g])` folded
+    /// up to the group word: folding `g` on completes it.
+    noise_prefix: u64,
+}
+
+/// Synthesises per-layer, per-stage activations for a scene, one
+/// column range of a set of prepared rows at a time.
 ///
-/// Holds an appearance cache keyed by content; the cache is flushed when
+/// [`ActivationSynthesizer::prepare_rows`] resolves every row's
+/// appearance and stability lookups into a recipe;
+/// [`ActivationSynthesizer::fill_columns`] then synthesises any
+/// [`GROUP`]-aligned column range of those rows, bit-identical to the
+/// same columns of the full-width row ([`ActivationSynthesizer::token_row`]
+/// and [`ActivationSynthesizer::activations`] are its `0..width` case).
+/// Appearances are memoised at full width in one slab and flushed when
 /// the (layer, stage) context changes, which matches the layer-by-layer
 /// traversal of the pipeline.
 #[derive(Debug)]
@@ -310,12 +347,20 @@ pub struct ActivationSynthesizer {
     /// for synthesis-launch records).
     backend: BackendHandle,
     cache_salt: u64,
-    appearance_cache: HashMap<(ContentKey, usize), Vec<f32>, FnvBuild>,
-    /// Per-(content, width) group-stability flags — a pure function of
-    /// the content key within one (layer, stage) context, shared by
-    /// every token showing that content (flushed with the context,
-    /// like the appearance memo).
-    stability_cache: HashMap<(ContentKey, usize), Vec<bool>, FnvBuild>,
+    /// The current context's appearance vectors, back to back at full
+    /// width; `appearance_at` maps `(key, width)` to an offset.
+    slab: Vec<f32>,
+    appearance_at: HashMap<(ContentKey, usize), usize, FnvBuild>,
+    /// Per-(content, width) group-stability flags, back to back — a
+    /// pure function of the content key within one (layer, stage)
+    /// context, shared by every token showing that content (flushed
+    /// with the context, like the appearance memo).
+    flags: Vec<bool>,
+    flags_at: HashMap<(ContentKey, usize), usize, FnvBuild>,
+    /// Recipes of the rows the last `prepare_rows` call resolved.
+    recipes: Vec<RowRecipe>,
+    /// Row width of the prepared rows.
+    width: usize,
 }
 
 impl ActivationSynthesizer {
@@ -335,8 +380,12 @@ impl ActivationSynthesizer {
             layers,
             backend: backend::active(),
             cache_salt: u64::MAX,
-            appearance_cache: HashMap::default(),
-            stability_cache: HashMap::default(),
+            slab: Vec::new(),
+            appearance_at: HashMap::default(),
+            flags: Vec::new(),
+            flags_at: HashMap::default(),
+            recipes: Vec::new(),
+            width: 0,
         }
     }
 
@@ -363,33 +412,29 @@ impl ActivationSynthesizer {
         StabilityModel::new(self.redundancy, self.layers, self.seed)
     }
 
-    /// Deterministic appearance vector of a content key at the current
-    /// context, memoised.
-    fn appearance(&mut self, key: ContentKey, width: usize, salt: u64) -> &[f32] {
-        let backend = self.backend;
-        self.appearance_cache
-            .entry((key, width))
-            .or_insert_with(|| {
-                let mut rng = SplitMix64(key.stable_hash(salt));
-                let mut v = vec![0.0f32; width];
-                rng.fill_normals_with(backend, &mut v);
-                v
-            })
+    /// Slab offset of a content key's deterministic appearance vector
+    /// at the current context, synthesised on first use.
+    fn appearance(&mut self, key: ContentKey, width: usize) -> usize {
+        if let Some(&at) = self.appearance_at.get(&(key, width)) {
+            return at;
+        }
+        let at = self.slab.len();
+        self.slab.resize(at + width, 0.0);
+        let mut rng = SplitMix64(key.stable_hash(self.cache_salt));
+        rng.fill_normals_with(self.backend, &mut self.slab[at..]);
+        self.appearance_at.insert((key, width), at);
+        at
     }
 
-    /// Synthesises the deterministic (noise-free) part of one token row.
+    /// Resolves one row's recipe: its appearance offsets and weights,
+    /// motion blend, stability flags and noise key.
     ///
-    /// The blends accumulate straight into `out` between `appearance`
-    /// calls (each borrows the memo mutably, so only one component
-    /// slice is live at a time) — no per-row temporaries. The two-term
-    /// mixes sum in the opposite operand order from the formulae in
-    /// the comments; IEEE-754 addition is commutative, so the rows are
-    /// bit-identical either way.
-    fn deterministic_row(&mut self, token: usize, width: usize, salt: u64, out: &mut [f32]) {
-        // Copy the (plain-data) patch out of the scene so no borrow of
-        // `self` outlives the `&mut self` appearance calls below.
+    /// The two-term mixes are `wa·a + wb·b` with `a` the first
+    /// component drawn; IEEE-754 addition is commutative, so the
+    /// operand order of the sum cannot move a bit.
+    fn recipe(&mut self, token: usize, layer: usize, width: usize) -> RowRecipe {
         let patch = *self.scene.patch_by_index(token);
-        match patch.primary {
+        let base = match patch.primary {
             ContentKey::Background { epoch, .. } => {
                 // sqrt-weighted mix keeps unit variance; the expected
                 // cosine between two background patches is 1 - texture.
@@ -399,13 +444,11 @@ impl ActivationSynthesizer {
                 let w_scene = ((1.0 - texture) as f32).sqrt();
                 // focus-lint: allow(D1-libm) — same correctly-rounded sqrt as above.
                 let w_pos = (texture as f32).sqrt();
-                let pos_app = self.appearance(patch.primary, width, salt);
-                for (o, &a) in out.iter_mut().zip(pos_app) {
-                    *o = w_pos * a;
-                }
-                let scene_app = self.appearance(ContentKey::Scene { epoch }, width, salt);
-                for (o, &a) in out.iter_mut().zip(scene_app) {
-                    *o += w_scene * a;
+                RowBase::Mix {
+                    a: self.appearance(patch.primary, width),
+                    wa: w_pos,
+                    b: self.appearance(ContentKey::Scene { epoch }, width),
+                    wb: w_scene,
                 }
             }
             ContentKey::Object { epoch, object, .. } => {
@@ -422,20 +465,15 @@ impl ActivationSynthesizer {
                     lr: i16::MAX,
                     lc: i16::MAX,
                 };
-                let cell = self.appearance(patch.primary, width, salt);
-                for (o, &a) in out.iter_mut().zip(cell) {
-                    *o = w_cell * a;
-                }
-                let core = self.appearance(core_key, width, salt);
-                for (o, &a) in out.iter_mut().zip(core) {
-                    *o += w_core * a;
+                RowBase::Mix {
+                    a: self.appearance(patch.primary, width),
+                    wa: w_cell,
+                    b: self.appearance(core_key, width),
+                    wb: w_core,
                 }
             }
-            ContentKey::Scene { .. } => {
-                let app = self.appearance(patch.primary, width, salt);
-                out.copy_from_slice(app);
-            }
-        }
+            ContentKey::Scene { .. } => RowBase::Copy(self.appearance(patch.primary, width)),
+        };
         // Sub-patch motion blends the neighbouring content. The blend
         // weight is damped below the raw area overlap: vision-encoder
         // features are translation-tolerant, so a patch whose content
@@ -443,70 +481,160 @@ impl ActivationSynthesizer {
         // space (this is precisely the sub-token redundancy Fig. 1(c)
         // exploits).
         const MOTION_DAMPING: f32 = 0.5;
-        if let Some((secondary, phi)) = patch.secondary {
-            let phi = MOTION_DAMPING * phi;
-            let sec = self.appearance(secondary, width, salt);
-            for (o, &s) in out.iter_mut().zip(sec) {
-                *o = (1.0 - phi) * *o + phi * s;
+        let blend = patch
+            .secondary
+            .map(|(secondary, phi)| (self.appearance(secondary, width), MOTION_DAMPING * phi));
+
+        // Group stability comes from the shared [`StabilityModel`] law
+        // (see its docs for the two-tier structure), memoised per
+        // (content, width) so tokens repeating a content key — the
+        // scene's redundancy itself — share one pattern. The additive
+        // noise stays strictly per (token, group).
+        let key = patch.primary;
+        let flags = match self.flags_at.get(&(key, width)) {
+            Some(&at) => at,
+            None => {
+                let at = self.flags.len();
+                let pattern =
+                    self.stability_model()
+                        .group_pattern_salted(key, layer, self.cache_salt, width);
+                self.flags.extend(pattern);
+                self.flags_at.insert((key, width), at);
+                at
             }
+        };
+        // Noise keys off the *global-time* token index: at origin 0
+        // this is the local index (bit-identical to every pinned
+        // value), and in a scene stream it advances with the window, so
+        // unstable groups redraw each wall-clock frame while stable
+        // groups stay bit-identical — exactly the cross-window
+        // redundancy the temporal concentrator harvests.
+        let noise_token = self.scene.global_token(token) as u64;
+        RowRecipe {
+            base,
+            blend,
+            flags,
+            noise_prefix: hash_words(self.cache_salt ^ 0x0115E, &[noise_token]),
         }
     }
 
-    /// Synthesises one activation row for `token` at `(layer, stage)`
-    /// into `out` (whose length sets the width).
+    /// Resolves the synthesis recipes of `tokens` (rows in that order;
+    /// image-token indices are scene-global, frame-major) at `(layer,
+    /// stage)` and `width`: every appearance and stability lookup of
+    /// the rows, once. Following [`ActivationSynthesizer::fill_columns`]
+    /// calls synthesise column ranges of exactly these rows.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len()` is not a positive multiple of [`GROUP`].
-    pub fn token_row(&mut self, token: usize, layer: usize, stage: Stage, out: &mut [f32]) {
-        let width = out.len();
+    /// Panics if `width` is not a positive multiple of [`GROUP`].
+    pub fn prepare_rows(&mut self, tokens: &[usize], layer: usize, stage: Stage, width: usize) {
         assert!(
             width > 0 && width.is_multiple_of(GROUP),
             "width must be a multiple of {GROUP}"
         );
         let salt = self.context_salt(layer, stage);
         if salt != self.cache_salt {
-            self.appearance_cache.clear();
-            self.stability_cache.clear();
+            self.slab.clear();
+            self.appearance_at.clear();
+            self.flags.clear();
+            self.flags_at.clear();
             self.cache_salt = salt;
         }
-        self.deterministic_row(token, width, salt, out);
-
-        // Group stability comes from the shared [`StabilityModel`] law
-        // (see its docs for the two-tier structure). The flags are a
-        // pure function of (content, width) within the current context,
-        // so tokens repeating a content key — the scene's redundancy
-        // itself — share one memoised pattern. The additive noise below
-        // stays strictly per (token, group).
-        let key = self.scene.patch_by_index(token).primary;
-        if !self.stability_cache.contains_key(&(key, width)) {
-            let pattern = self
-                .stability_model()
-                .group_pattern_salted(key, layer, salt, width);
-            self.stability_cache.insert((key, width), pattern);
+        self.recipes.clear();
+        for &token in tokens {
+            let recipe = self.recipe(token, layer, width);
+            self.recipes.push(recipe);
         }
-        let pattern = &self.stability_cache[&(key, width)];
+        self.width = width;
+    }
+
+    /// Synthesises columns `cols` of every prepared row into `out`
+    /// (row-major, one `cols.len()`-wide row per prepared row),
+    /// bit-identical to the same columns of the full-width row: the
+    /// per-element operations run in the same order, and the noise is
+    /// keyed per `(token, group)`. Rows for which `skip(row)` holds are
+    /// not synthesised: their span is filled with `f32::NAN`, so any
+    /// read of it poisons the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` is not [`GROUP`]-aligned within the prepared
+    /// width, or `out` is not one `cols.len()`-wide row per prepared
+    /// row.
+    pub fn fill_columns(&self, cols: Range<usize>, skip: impl Fn(usize) -> bool, out: &mut [f32]) {
+        assert!(
+            cols.start.is_multiple_of(GROUP)
+                && cols.end.is_multiple_of(GROUP)
+                && cols.start <= cols.end
+                && cols.end <= self.width,
+            "column range {cols:?} must be {GROUP}-aligned within width {}",
+            self.width
+        );
+        let n = cols.len();
+        assert_eq!(
+            out.len(),
+            self.recipes.len() * n,
+            "one span per prepared row"
+        );
+        self.backend.record(KernelLaunch::SynthFill {
+            rows: self.recipes.len(),
+            width: n,
+        });
+        if n == 0 {
+            return;
+        }
         let sigma = self.redundancy.noise_sigma as f32;
-        let mut noise = [0.0f32; GROUP];
-        // Noise keys off the *global-time* token index: at origin 0 this
-        // is the local index (bit-identical to every pinned value), and
-        // in a scene stream it advances with the window, so unstable
-        // groups redraw each wall-clock frame while stable groups stay
-        // bit-identical — exactly the cross-window redundancy the
-        // temporal concentrator harvests.
-        let noise_token = self.scene.global_token(token) as u64;
-        for (g, _) in pattern.iter().enumerate().filter(|(_, &stable)| !stable) {
-            let mut rng = SplitMix64(hash_words(salt ^ 0x0115E, &[noise_token, g as u64]));
-            rng.fill_normals_with(self.backend, &mut noise);
-            for (v, &n) in out[g * GROUP..(g + 1) * GROUP].iter_mut().zip(&noise) {
-                *v += sigma * n;
+        let at = |offset: usize| &self.slab[offset + cols.start..offset + cols.end];
+        for (row, (recipe, o)) in self.recipes.iter().zip(out.chunks_exact_mut(n)).enumerate() {
+            if skip(row) {
+                o.fill(f32::NAN);
+                continue;
+            }
+            match recipe.base {
+                RowBase::Copy(a) => o.copy_from_slice(at(a)),
+                RowBase::Mix { a, wa, b, wb } => {
+                    for ((o, &x), &y) in o.iter_mut().zip(at(a)).zip(at(b)) {
+                        *o = wa * x + wb * y;
+                    }
+                }
+            }
+            if let Some((secondary, phi)) = recipe.blend {
+                for (o, &s) in o.iter_mut().zip(at(secondary)) {
+                    *o = (1.0 - phi) * *o + phi * s;
+                }
+            }
+            let mut noise = [0.0f32; GROUP];
+            for g in cols.start / GROUP..cols.end / GROUP {
+                if self.flags[recipe.flags + g] {
+                    continue;
+                }
+                let seed = fnv1a_fold(recipe.noise_prefix, &(g as u64).to_le_bytes());
+                SplitMix64(seed).fill_normals_with(self.backend, &mut noise);
+                let lo = g * GROUP - cols.start;
+                for (v, &z) in o[lo..lo + GROUP].iter_mut().zip(&noise) {
+                    *v += sigma * z;
+                }
             }
         }
     }
 
+    /// Synthesises one activation row for `token` at `(layer, stage)`
+    /// into `out` (whose length sets the width) — the one-row,
+    /// full-width case of [`ActivationSynthesizer::fill_columns`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not a positive multiple of [`GROUP`].
+    pub fn token_row(&mut self, token: usize, layer: usize, stage: Stage, out: &mut [f32]) {
+        let width = out.len();
+        self.prepare_rows(&[token], layer, stage, width);
+        self.fill_columns(0..width, |_| false, out);
+    }
+
     /// Synthesises the activation matrix of the given tokens at
-    /// `(layer, stage)`. Rows follow the order of `tokens`; image-token
-    /// indices are scene-global (frame-major).
+    /// `(layer, stage)` — the full-width case of
+    /// [`ActivationSynthesizer::fill_columns`]. Rows follow the order
+    /// of `tokens`; image-token indices are scene-global (frame-major).
     pub fn activations(
         &mut self,
         tokens: &[usize],
@@ -515,32 +643,9 @@ impl ActivationSynthesizer {
         width: usize,
     ) -> Matrix {
         let mut m = Matrix::zeros(tokens.len(), width);
-        self.activations_into(tokens, layer, stage, width, &mut m);
+        self.prepare_rows(tokens, layer, stage, width);
+        self.fill_columns(0..width, |_| false, m.as_mut_slice());
         m
-    }
-
-    /// Like [`ActivationSynthesizer::activations`], but synthesises
-    /// into `out`, resizing it in place. Rows are fully overwritten, so
-    /// a recycled buffer yields values bit-identical to a fresh
-    /// allocation; together with the memo cache this makes the
-    /// synthesiser safe to keep resident across layers and stages.
-    pub fn activations_into(
-        &mut self,
-        tokens: &[usize],
-        layer: usize,
-        stage: Stage,
-        width: usize,
-        out: &mut Matrix,
-    ) {
-        out.resize(tokens.len(), width);
-        self.backend.record(KernelLaunch::SynthFill {
-            rows: tokens.len(),
-            width,
-        });
-        for (i, &t) in tokens.iter().enumerate() {
-            let row_start = i; // rows are in `tokens` order
-            self.token_row(t, layer, stage, out.row_mut(row_start));
-        }
     }
 
     /// Cosine-similarity samples between temporally adjacent tokens at
@@ -782,9 +887,10 @@ mod tests {
         let scene = make_scene();
         let mut fresh = ActivationSynthesizer::new(&scene, profile(), 28, 7);
         let mut reused = ActivationSynthesizer::new(&scene, profile(), 28, 7);
-        let mut buf = Matrix::zeros(0, 0);
-        // Drive the reused synthesiser through several (layer, stage,
-        // shape) contexts; every call must match a fresh allocation.
+        let mut buf = Vec::new();
+        // Drive the reused synthesiser and buffer through several
+        // (layer, stage, shape) contexts; every call must match a fresh
+        // allocation.
         let calls = [
             (vec![0usize, 5, 9, 300], 2, Stage::PvOut, 64),
             (vec![1usize, 2], 2, Stage::FfnAct, 128),
@@ -792,9 +898,24 @@ mod tests {
             (vec![0usize], 4, Stage::PvOut, 32),
         ];
         for (tokens, layer, stage, width) in calls {
-            reused.activations_into(&tokens, layer, stage, width, &mut buf);
+            buf.resize(tokens.len() * width, 7.0);
+            reused.prepare_rows(&tokens, layer, stage, width);
+            reused.fill_columns(0..width, |_| false, &mut buf);
             let expect = fresh.activations(&tokens, layer, stage, width);
-            assert_eq!(buf, expect);
+            assert_eq!(buf, expect.as_slice());
+        }
+    }
+
+    #[test]
+    fn skipped_rows_are_poisoned_not_synthesised() {
+        let scene = make_scene();
+        let mut syn = ActivationSynthesizer::new(&scene, profile(), 28, 7);
+        let full = syn.activations(&[4, 5, 6], 1, Stage::OProjOut, 64);
+        let mut out = vec![0.0f32; 3 * 16];
+        syn.fill_columns(16..32, |row| row == 1, &mut out);
+        assert!(out[16..32].iter().all(|v| v.is_nan()));
+        for row in [0, 2] {
+            assert_eq!(&out[row * 16..(row + 1) * 16], &full.row(row)[16..32]);
         }
     }
 

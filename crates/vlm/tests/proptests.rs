@@ -1,9 +1,10 @@
 //! Property tests for the workload substrate: determinism, structural
 //! invariants of scenes/attention, and accuracy-model monotonicity.
 
+use focus_tensor::backend;
 use focus_vlm::accuracy::{coverage_stats, AccuracyModel, TokenOutcome};
 use focus_vlm::dataset::DatasetProfile;
-use focus_vlm::embedding::{ActivationSynthesizer, Stage};
+use focus_vlm::embedding::{ActivationSynthesizer, Stage, GROUP};
 use focus_vlm::scene::{Scene, SceneConfig};
 use focus_vlm::{DatasetKind, ModelKind, Prompt, Workload, WorkloadScale};
 use proptest::prelude::*;
@@ -84,6 +85,55 @@ proptest! {
         let a = syn1.activations(&tokens, layer, Stage::PvOut, 64);
         let b = syn2.activations(&tokens, layer, Stage::PvOut, 64);
         prop_assert_eq!(a, b);
+    }
+
+    /// A column-range fill of prepared rows is bitwise equal to the
+    /// same columns of `token_row`, for any group-aligned range, any
+    /// stage and both numeric backends — the fused gather streams the
+    /// stage tile by tile through exactly this fill.
+    #[test]
+    fn column_range_fill_matches_token_row_columns(
+        seed in 0u64..100,
+        layer in 0usize..28,
+        stage_index in 0usize..5,
+        groups in 1usize..24,
+        lo in 0usize..24,
+        len in 0usize..24,
+        backend_index in 0usize..2,
+    ) {
+        let stage = [
+            Stage::Embedding,
+            Stage::PvOut,
+            Stage::OProjOut,
+            Stage::FfnAct,
+            Stage::FfnDownOut,
+        ][stage_index];
+        let backend = [backend::scalar_ref(), backend::simd()][backend_index];
+        let profile = DatasetProfile::for_model(DatasetKind::Mlvu, ModelKind::LlavaVideo7B);
+        let scene = Scene::synthesize(SceneConfig {
+            frames: 2,
+            grid_h: 5,
+            grid_w: 5,
+            redundancy: profile.redundancy,
+            seed,
+        });
+        let width = groups * GROUP;
+        let start = lo.min(groups) * GROUP;
+        let cols = start..(start + len * GROUP).min(width);
+        let tokens: Vec<usize> = (0..scene.token_count()).step_by(3).collect();
+        let mut syn =
+            ActivationSynthesizer::new(&scene, profile.redundancy, 28, seed).with_backend(backend);
+        syn.prepare_rows(&tokens, layer, stage, width);
+        let mut tile = vec![0.0f32; tokens.len() * cols.len()];
+        syn.fill_columns(cols.clone(), |_| false, &mut tile);
+        let mut row = vec![0.0f32; width];
+        for (i, &t) in tokens.iter().enumerate() {
+            syn.token_row(t, layer, stage, &mut row);
+            let span = &tile[i * cols.len()..(i + 1) * cols.len()];
+            for (got, want) in span.iter().zip(&row[cols.clone()]) {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
     }
 
     /// Attention rows stay sub-normalised for any prompt target.

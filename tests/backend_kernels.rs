@@ -1,12 +1,13 @@
 //! The [`Backend`] contract, property-tested end to end:
 //!
 //! * **Bit-identity** — the `Simd` backend must match the `ScalarRef`
-//!   oracle bit for bit on every kernel family (compact norms, gather
-//!   candidate scoring, INT8 fake-quantise, FP16 rounding, scatter
-//!   replay), across widths sweeping every SIMD tail length, slice
-//!   alignments, candidate counts sweeping the 8-candidate group
-//!   boundary, and wide magnitude spreads. A whole measured pipeline
-//!   run on either backend must therefore produce identical results.
+//!   oracle bit for bit on every kernel family (index-addressed compact
+//!   norms and gather scoring over a contiguous tile, INT8 absmax and
+//!   fake-quantise, FP16 rounding, scatter replay), across widths
+//!   sweeping every SIMD tail length, pair counts sweeping the 8-pair
+//!   group boundary, zero-norm rows and wide magnitude spreads. A whole
+//!   measured pipeline run on either backend must therefore produce
+//!   identical results.
 //! * **Dispatch completeness** — a `Trace` backend run does no numeric
 //!   work but observes every stage-level kernel launch, proving the
 //!   stage graph routes all five kernel families through the trait
@@ -18,6 +19,9 @@ use focus::core::sic::{scatter, ConvLayouter, Fhw, SimilarityMap};
 use focus::core::FocusConfig;
 use focus::sim::ArchConfig;
 use focus::tensor::backend::{scalar_ref, simd, BackendHandle, KernelLaunch, Trace};
+use focus::tensor::math::{cosine_with_norms_chunked_scalar, dot_chunked_scalar};
+use focus::tensor::ops::vector_ranges;
+use focus::tensor::quant::fake_quantize_in_place;
 use focus::tensor::{DataType, Matrix};
 use focus::vlm::embedding::Stage;
 use focus::vlm::{DatasetKind, ModelKind, Workload, WorkloadScale};
@@ -53,106 +57,110 @@ fn synth_values(n: usize, salt: usize, scale: f32) -> Vec<f32> {
         .collect()
 }
 
+/// A `rows × width` tile of pseudo-random rows, every fifth row zero
+/// so the zero-norm conventions are exercised.
+fn tile(rows: usize, width: usize, salt: usize, scale: f32) -> Matrix {
+    let mut m = Matrix::zeros(rows, width);
+    for r in (0..rows).filter(|r| r % 5 != 4) {
+        m.row_mut(r)
+            .copy_from_slice(&synth_values(width, salt + 7 * r + 1, scale));
+    }
+    m
+}
+
+/// Pseudo-random `(row, candidate)` probes into a `rows`-row tile.
+fn probes(rows: usize, n: usize, salt: usize) -> Vec<(u32, u32)> {
+    (0..n)
+        .map(|p| {
+            let a = (salt + p * 13) % rows;
+            let b = (salt / 3 + p * 5) % rows;
+            (a as u32, b as u32)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `Simd` ≡ `ScalarRef` bit for bit on norms and gather scoring,
-    /// for every width tail, slice alignment and candidate count.
+    /// `Simd` ≡ `ScalarRef` bit for bit on the index-addressed gather
+    /// kernels (`row_norms` over a subset of rows, `score_pairs` over
+    /// `(row, candidate)` probes of one contiguous tile), for widths
+    /// 8–96 including tails that are not a multiple of 8, pair counts
+    /// across the 8-pair group boundary and zero-norm rows.
     #[test]
     fn gather_scoring_backends_are_bit_identical(
-        width in 1usize..70,
-        offset in 0usize..8,
-        n_cands in 0usize..20,
+        width in 8usize..97,
+        rows in 1usize..24,
+        n_pairs in 0usize..40,
         salt in 0usize..1000,
         exp in -20i32..20,
     ) {
-        let scale = (exp as f32).exp2();
-        // Over-allocate and sub-slice so the row starts at every
-        // alignment relative to the allocation.
-        let backing = synth_values(width + offset, salt, scale);
-        let row = &backing[offset..];
-        let cands: Vec<Vec<f32>> = (0..n_cands)
-            .map(|c| synth_values(width, salt + 7 * c + 1, scale))
+        let m = tile(rows, width, salt, (exp as f32).exp2());
+        let listed: Vec<u32> = (0..rows as u32)
+            .filter(|r| !(r + salt as u32).is_multiple_of(3))
             .collect();
-        let views: Vec<&[f32]> = cands.iter().map(|c| c.as_slice()).collect();
         let (s, f) = (scalar_ref(), simd());
+        let mut scalar_norms = vec![-1.0f32; rows];
+        s.row_norms(&m, &listed, &mut scalar_norms);
+        let mut norms = vec![-1.0f32; rows];
+        f.row_norms(&m, &listed, &mut norms);
+        assert_bits_eq(&norms, &scalar_norms, "row_norms simd vs scalar");
 
-        let norm = s.row_norm(row);
-        prop_assert_eq!(norm.to_bits(), f.row_norm(row).to_bits());
-        let cand_norms: Vec<f32> = views.iter().map(|c| s.row_norm(c)).collect();
-        for (c, &n) in cand_norms.iter().enumerate() {
-            prop_assert_eq!(n.to_bits(), f.row_norm(views[c]).to_bits());
-        }
-
-        let mut scalar = vec![0.0f32; n_cands];
-        s.score_candidates(row, norm, &views, &cand_norms, &mut scalar);
-        let mut dispatched = vec![0.0f32; n_cands];
-        f.score_candidates(row, norm, &views, &cand_norms, &mut dispatched);
-        assert_bits_eq(&dispatched, &scalar, "score_candidates simd vs scalar");
+        // Score over every row's norm.
+        s.row_norms(&m, &(0..rows as u32).collect::<Vec<_>>(), &mut norms);
+        let pairs = probes(rows, n_pairs, salt);
+        let mut scalar = vec![0.0f32; n_pairs];
+        s.score_pairs(&m, &pairs, &norms, &mut scalar);
+        let mut dispatched = vec![0.0f32; n_pairs];
+        f.score_pairs(&m, &pairs, &norms, &mut dispatched);
+        assert_bits_eq(&dispatched, &scalar, "score_pairs simd vs scalar");
         for &c in &scalar {
             prop_assert!((-1.0..=1.0).contains(&c), "cosine {c} out of range");
         }
     }
 
-    /// `Simd` ≡ `ScalarRef` bit for bit on the tile-batched launches
-    /// (`row_norms`, `score_pairs`), which must in turn match the
-    /// one-row kernels — the batching is bit-invisible. Zero rows are
-    /// sprinkled in so the zero-norm conventions are exercised on the
-    /// batched path too.
+    /// The batched index launches are bit-invisible: on both numeric
+    /// backends every norm equals the one-row chunked norm and every
+    /// score the one-pair chunked cosine, and rows left out of a norm
+    /// launch keep their slots.
     #[test]
     fn pair_scoring_backends_are_bit_identical(
         width in 1usize..70,
+        rows in 1usize..12,
         n_pairs in 0usize..20,
         salt in 0usize..1000,
         exp in -20i32..20,
     ) {
-        let scale = (exp as f32).exp2();
-        let left: Vec<Vec<f32>> = (0..n_pairs)
-            .map(|p| synth_values(width, salt + 3 * p, scale))
-            .collect();
-        let right: Vec<Vec<f32>> = (0..n_pairs)
-            .map(|p| {
-                if p % 5 == 0 {
-                    vec![0.0; width]
-                } else {
-                    synth_values(width, salt + 3 * p + 1, scale)
-                }
-            })
-            .collect();
-        let pa: Vec<&[f32]> = left.iter().map(|r| r.as_slice()).collect();
-        let pb: Vec<&[f32]> = right.iter().map(|r| r.as_slice()).collect();
-        let (s, f) = (scalar_ref(), simd());
-
-        let mut an = vec![0.0f32; n_pairs];
-        s.row_norms(&pa, &mut an);
-        let mut an_f = vec![0.0f32; n_pairs];
-        f.row_norms(&pa, &mut an_f);
-        assert_bits_eq(&an_f, &an, "row_norms simd vs scalar");
-        for p in 0..n_pairs {
-            prop_assert_eq!(an[p].to_bits(), s.row_norm(pa[p]).to_bits());
-        }
-
-        let mut bn = vec![0.0f32; n_pairs];
-        s.row_norms(&pb, &mut bn);
-        let mut scalar = vec![0.0f32; n_pairs];
-        s.score_pairs(&pa, &an, &pb, &bn, &mut scalar);
-        let mut dispatched = vec![0.0f32; n_pairs];
-        f.score_pairs(&pa, &an, &pb, &bn, &mut dispatched);
-        assert_bits_eq(&dispatched, &scalar, "score_pairs simd vs scalar");
-        for (p, &c) in scalar.iter().enumerate() {
-            prop_assert!((-1.0..=1.0).contains(&c), "cosine {c} out of range");
-            let mut one = [0.0f32];
-            s.score_candidates(pa[p], an[p], &[pb[p]], &[bn[p]], &mut one);
-            prop_assert_eq!(c.to_bits(), one[0].to_bits());
+        let m = tile(rows, width, salt, (exp as f32).exp2());
+        let pairs = probes(rows, n_pairs, salt);
+        for backend in [scalar_ref(), simd()] {
+            let mut norms = vec![-1.0f32; rows];
+            backend.row_norms(&m, &(1..rows as u32).collect::<Vec<_>>(), &mut norms);
+            prop_assert_eq!(norms[0], -1.0);
+            backend.row_norms(&m, &[0], &mut norms);
+            for (r, n) in norms.iter().enumerate() {
+                prop_assert_eq!(n.to_bits(), dot_chunked_scalar(m.row(r), m.row(r)).sqrt().to_bits());
+            }
+            let mut scores = vec![0.0f32; n_pairs];
+            backend.score_pairs(&m, &pairs, &norms, &mut scores);
+            for (&(a, b), c) in pairs.iter().zip(&scores) {
+                let (a, b) = (a as usize, b as usize);
+                let one = cosine_with_norms_chunked_scalar(m.row(a), norms[a], m.row(b), norms[b]);
+                prop_assert_eq!(c.to_bits(), one.to_bits());
+            }
         }
     }
 
-    /// `Simd` ≡ `ScalarRef` bit for bit on the whole-matrix dtype
-    /// conversions (INT8 fake-quantise and FP16 rounding).
+    /// `Simd` ≡ `ScalarRef` bit for bit on the dtype conversions (INT8
+    /// absmax + fake-quantise, FP16 rounding), and the tile-streamed
+    /// INT8 path — each row's absmax folded column tile by column tile,
+    /// then every tile quantised at that scale — reproduces the
+    /// whole-row fake-quantise reference exactly.
     #[test]
     fn dtype_conversion_backends_are_bit_identical(
         rows in 1usize..8,
         cols in 1usize..70,
+        tile_w in 1usize..40,
         salt in 0usize..1000,
         exp in -20i32..20,
     ) {
@@ -160,12 +168,23 @@ proptest! {
         let m = Matrix::from_fn(rows, cols, |r, c| {
             synth_values(1, salt + r * 71 + c, scale)[0]
         });
+        let mut reference = m.clone();
+        fake_quantize_in_place(&mut reference);
 
-        let mut scalar = m.clone();
-        scalar_ref().fake_quantize(&mut scalar);
-        let mut dispatched = m.clone();
-        simd().fake_quantize(&mut dispatched);
-        assert_matrix_bits_eq(&dispatched, &scalar, "fake_quantize simd vs scalar");
+        for backend in [scalar_ref(), simd()] {
+            let mut absmax = vec![0.0f32; rows];
+            let ranges = vector_ranges(cols, tile_w);
+            for range in &ranges {
+                let t = m.submatrix(0, rows, range.start, range.len());
+                backend.row_absmax(&t, &mut absmax);
+            }
+            for range in &ranges {
+                let mut t = m.submatrix(0, rows, range.start, range.len());
+                backend.fake_quantize(&mut t, &absmax);
+                let want = reference.submatrix(0, rows, range.start, range.len());
+                assert_matrix_bits_eq(&t, &want, backend.name());
+            }
+        }
 
         let mut scalar = m.clone();
         scalar_ref().f16_round(&mut scalar);
@@ -213,13 +232,13 @@ proptest! {
 /// (cosine 0), on both numeric backends.
 #[test]
 fn zero_norm_conventions_hold_on_both_backends() {
-    let zero = vec![0.0f32; 11];
     let unit: Vec<f32> = (0..11).map(|i| (i == 3) as u32 as f32).collect();
+    let m = Matrix::from_rows(&[vec![0.0f32; 11], unit]);
     for backend in [scalar_ref(), simd()] {
-        let cands: Vec<&[f32]> = vec![&zero, &unit];
-        let norms = [backend.row_norm(&zero), backend.row_norm(&unit)];
+        let mut norms = [9.0f32; 2];
+        backend.row_norms(&m, &[0, 1], &mut norms);
         let mut scores = [9.0f32; 2];
-        backend.score_candidates(&zero, norms[0], &cands, &norms, &mut scores);
+        backend.score_pairs(&m, &[(0, 0), (0, 1)], &norms, &mut scores);
         assert_eq!(scores, [1.0, 0.0], "{} zero-row scores", backend.name());
     }
 }
@@ -258,8 +277,10 @@ fn pipeline_results_are_backend_invariant() {
 }
 
 /// A `Trace` backend observes the full per-layer kernel-launch
-/// sequence of a two-layer, two-stage walk — synthesis fill, dtype
-/// conversion and gather scoring all dispatch through the trait, in
+/// sequence of a two-layer, two-stage walk of the fused stage — the
+/// matrix-level gather record, then per m-tile (after an INT8 stage's
+/// absmax sweep of synthesis fills) one synthesis fill and one dtype
+/// conversion per column tile — all dispatched through the trait, in
 /// schedule order, with the right shapes.
 #[test]
 fn trace_backend_records_the_stage_launch_sequence() {
@@ -274,6 +295,10 @@ fn trace_backend_records_the_stage_launch_sequence() {
         .collect();
     let config = FocusConfig::paper();
     let rows = retained.len();
+    let row_tiles: Vec<usize> = vector_ranges(rows, config.tile_m)
+        .iter()
+        .map(|r| r.len())
+        .collect();
 
     let mut expected = Vec::new();
     for (stage, dtype) in [
@@ -293,12 +318,26 @@ fn trace_backend_records_the_stage_launch_sequence() {
             let StageOutput::Gathered { .. } = gather.run(&ctx, &mut ws) else {
                 panic!("gather stages always gather");
             };
-            expected.push(KernelLaunch::SynthFill { rows, width });
-            expected.push(match dtype {
-                DataType::Fp16 => KernelLaunch::F16Round { rows, cols: width },
-                DataType::Int8 => KernelLaunch::FakeQuantize { rows, cols: width },
-            });
             expected.push(KernelLaunch::GatherScore { rows, width });
+            let col_tiles = vector_ranges(width, config.vector_len);
+            for &tile_rows in &row_tiles {
+                if dtype == DataType::Int8 {
+                    for cols in &col_tiles {
+                        expected.push(KernelLaunch::SynthFill {
+                            rows: tile_rows,
+                            width: cols.len(),
+                        });
+                    }
+                }
+                for cols in &col_tiles {
+                    let (rows, width) = (tile_rows, cols.len());
+                    expected.push(KernelLaunch::SynthFill { rows, width });
+                    expected.push(match dtype {
+                        DataType::Fp16 => KernelLaunch::F16Round { rows, cols: width },
+                        DataType::Int8 => KernelLaunch::FakeQuantize { rows, cols: width },
+                    });
+                }
+            }
         }
     }
     assert_eq!(trace.take_launches(), expected);
